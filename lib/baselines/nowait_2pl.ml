@@ -1,10 +1,7 @@
 module Make (L : Rwlock.Trylock_rw.S) () = struct
   let name = L.name
 
-  module Cm = Twoplsf_cm.Cm
-  module Admission = Twoplsf_cm.Admission
-
-  exception Restart
+  module Txn_loop = Twoplsf_cm.Txn_loop
 
   open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -17,11 +14,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
     rset : int Util.Vec.t; (* read-locked lock indices *)
     wlocks : int Util.Vec.t; (* write-locked lock indices *)
     undo : Wset.t;
-    mutable depth : int;
-    mutable restarts : int;
-    mutable finished_restarts : int;
-    mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-    ov : Cm.state;
+    loop : Txn_loop.state;
   }
 
   let requested_num_locks = ref 65536
@@ -42,16 +35,13 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
 
   let tx_key =
     Domain.DLS.new_key (fun () ->
+        let tid = Util.Tid.get () in
         {
-          tid = Util.Tid.get ();
+          tid;
           rset = Util.Vec.create ~dummy:(-1) ();
           wlocks = Util.Vec.create ~dummy:(-1) ();
           undo = Wset.create ();
-          depth = 0;
-          restarts = 0;
-          finished_restarts = 0;
-          escalated = false;
-          ov = Cm.make_state ();
+          loop = Txn_loop.make_state ~tid;
         })
 
   let get_tx () = Domain.DLS.get tx_key
@@ -64,7 +54,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
       Util.Vec.push tx.rset w;
       tv.v
     end
-    else raise Restart
+    else raise Txn_loop.Restart
 
   let write tx tv nv =
     let l = Util.Once.get locks in
@@ -75,7 +65,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
       Wset.log_old_once tx.undo tv tv.v;
       tv.v <- nv
     end
-    else raise Restart
+    else raise Txn_loop.Restart
 
   let release tx =
     let l = Util.Once.get locks in
@@ -91,67 +81,25 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
     Util.Vec.clear tx.wlocks;
     Wset.clear tx.undo
 
-  let finish_escalation tx =
-    if tx.escalated then begin
-      tx.escalated <- false;
-      Cm.Fallback.release ()
-    end
+  include Txn_loop.Make (struct
+    type nonrec tx = tx
 
-  let run tx f =
-    tx.restarts <- 0;
-    ignore (Cm.begin_txn tx.ov);
-    let rec attempt n =
-      begin_attempt tx;
-      tx.depth <- 1;
-      match f tx with
-      | v ->
-          tx.depth <- 0;
-          release tx;
-          finish_escalation tx;
-          Stm_intf.Stats.commit stats ~tid:tx.tid;
-          tx.finished_restarts <- tx.restarts;
-          v
-      | exception Restart ->
-          tx.depth <- 0;
-          rollback tx;
-          Stm_intf.Stats.abort stats ~tid:tx.tid;
-          tx.restarts <- tx.restarts + 1;
-          if tx.escalated then begin
-            Util.Backoff.exponential ~attempt:n;
-            attempt (n + 1)
-          end
-          else begin
-            match
-              Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-                ~st:tx.ov
-                ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:n)
-                ~cleanup:(fun () -> ())
-                ~reasons:(fun () -> [])
-            with
-            | Cm.Retry -> attempt (n + 1)
-            | Cm.Escalate ->
-                Cm.Fallback.acquire ();
-                tx.escalated <- true;
-                attempt (n + 1)
-          end
-      | exception e ->
-          tx.depth <- 0;
-          rollback tx;
-          finish_escalation tx;
-          raise e
-    in
-    attempt 1
+    let name = name
+    let stats = stats
+    let scope = None
+    let get_tx = get_tx
+    let state tx = tx.loop
+    let begin_attempt tx ~read_only:_ = begin_attempt tx
+    let commit = release
+    let rollback = rollback
+    let cleanup = rollback
+    let provenance _ = (-1, -1, Twoplsf_obs.Events.User_restart)
+    let wait _ ~restarts = Util.Backoff.exponential ~attempt:restarts
+    include Txn_loop.Fallback_hooks
+  end)
 
-  let atomic ?read_only f =
-    ignore read_only (* reads always lock, as in every 2PL *);
-    let tx = get_tx () in
-    if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx f)
-
-  let commits () = Stm_intf.Stats.commits stats
-  let aborts () = Stm_intf.Stats.aborts stats
   let clock_ops () = 0 (* no central clock in the no-wait family *)
   let reset_stats () = Stm_intf.Stats.reset stats
-  let last_restarts () = (get_tx ()).finished_restarts
 
   (* The lock signature exposes no raw state, so the sweep asks every
      (lock, tid) pair whether it is held.  O(num_locks * max_threads):

@@ -2,8 +2,7 @@ let name = "OFWF"
 
 module Cm = Twoplsf_cm.Cm
 module Admission = Twoplsf_cm.Admission
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -59,7 +58,8 @@ let read tx (tv : 'a tvar) : 'a =
       let v = tv.v in
       (* Per-read validation keeps the snapshot opaque: a reader never
          acts on values from two different writer batches. *)
-      if not (Rwlock.Seqlock.read_validate seq snapshot) then raise Restart;
+      if not (Rwlock.Seqlock.read_validate seq snapshot) then
+        raise Txn_loop.Restart;
       v
 
 let write tx tv nv =
@@ -102,7 +102,7 @@ let run_writer tx f =
 let run_ro tx f =
   tx.restarts <- 0;
   ignore (Cm.begin_txn tx.ov);
-  let rec attempt n =
+  let rec attempt () =
     let snapshot = Rwlock.Seqlock.read_begin seq in
     tx.mode <- Reader snapshot;
     tx.depth <- 1;
@@ -116,7 +116,7 @@ let run_ro tx f =
       tx.restarts <- tx.restarts + 1;
       match
         Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts ~st:tx.ov
-          ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:n)
+          ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:tx.restarts)
           ~cleanup:(fun () -> ())
           ~reasons:(fun () -> [])
       with
@@ -131,21 +131,35 @@ let run_ro tx f =
           tx.finished_restarts <- tx.restarts;
           v
         end
-        else on_abort (fun () -> attempt (n + 1))
-    | exception Restart ->
+        else on_abort attempt
+    | exception Txn_loop.Restart ->
         tx.depth <- 0;
-        on_abort (fun () -> attempt (n + 1))
+        on_abort attempt
     | exception e ->
         tx.depth <- 0;
         raise e
   in
-  attempt 1
+  attempt ()
+
+(* OneFile keeps its own attempt loop rather than Txn_loop's: escalation
+   re-runs a read-only body through the flat combiner instead of retrying
+   it. *)
+let run tx read_only f = if read_only then run_ro tx f else run_writer tx f
 
 let atomic ?(read_only = false) f =
   let tx = get_tx () in
   if tx.depth > 0 then f tx
-  else if read_only then Admission.guard (fun () -> run_ro tx f)
-  else Admission.guard (fun () -> run_writer tx f)
+  else if !Admission.on then begin
+    Admission.enter ();
+    match run tx read_only f with
+    | v ->
+        Admission.leave ();
+        v
+    | exception e ->
+        Admission.leave ();
+        raise e
+  end
+  else run tx read_only f
 
 let commits () = Stm_intf.Stats.commits stats
 let aborts () = Stm_intf.Stats.aborts stats

@@ -1,9 +1,6 @@
 let name = "OREC-Z"
 
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -18,11 +15,7 @@ type tx = {
   wset : Wset.t;
   acquired : (int * int) Util.Vec.t;
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
+  loop : Txn_loop.state;
 }
 
 let requested_num_orecs = ref 65536
@@ -42,18 +35,15 @@ let stats = Stm_intf.Stats.create ()
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rv = 0;
         rset = Util.Vec.create ~dummy:(-1, -1) ();
         wset = Wset.create ();
         acquired = Util.Vec.create ~dummy:(-1, -1) ();
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
+        loop = Txn_loop.make_state ~tid;
       })
 
 let get_tx () = Domain.DLS.get tx_key
@@ -106,12 +96,12 @@ let rec read_orec tx (tv : 'a tvar) : 'a =
   let o = Util.Once.get orecs in
   let oi = Orec.index o tv.id in
   let pre = Orec.get o oi in
-  if Orec.is_locked pre then raise Restart;
+  if Orec.is_locked pre then raise Txn_loop.Restart;
   let v = tv.v in
-  if Orec.get o oi <> pre then raise Restart;
+  if Orec.get o oi <> pre then raise Txn_loop.Restart;
   let ver = Orec.version pre in
   if ver > tx.rv then
-    if extend tx then read_orec tx tv else raise Restart
+    if extend tx then read_orec tx tv else raise Txn_loop.Restart
   else begin
     (* Logged even in read-only mode: extension must revalidate every
        prior read to keep the snapshot opaque. *)
@@ -156,11 +146,11 @@ let commit tx =
   else begin
     if not (lock_write_set tx) then begin
       release_acquired_old tx;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     if not (validate tx ~allow_mine:true) then begin
       release_acquired_old tx;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     let wv = 1 + Atomic.fetch_and_add clock 1 in
     Stm_intf.Stats.clock_op stats ~tid:tx.tid;
@@ -169,78 +159,36 @@ let commit tx =
     Util.Vec.iter (fun (oi, _) -> Orec.unlock_to o oi ~version:wv) tx.acquired
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.wset;
   Util.Vec.clear tx.acquired;
-  tx.ro <- ro;
+  tx.ro <- read_only;
   tx.rv <- Atomic.get clock
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let rec attempt n =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          Util.Backoff.exponential ~attempt:n;
-          attempt (n + 1)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () -> [])
-          with
-          | Cm.Retry -> attempt (n + 1)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              attempt (n + 1)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        (* Lazy locking: the body holds no locks, but an exception
-           escaping mid-commit may — release them to their pre-lock
-           versions before propagating. *)
-        release_acquired_old tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1
+  let name = name
+  let stats = stats
+  let scope = None
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt = begin_attempt
+  let commit = commit
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else Admission.guard (fun () -> run tx read_only f)
+  (* A failed commit has already released its locks. *)
+  let rollback _ = ()
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  (* Lazy locking: the body holds no locks, but an exception escaping
+     mid-commit may — release them to their pre-lock versions. *)
+  let cleanup = release_acquired_old
+  let provenance _ = (-1, -1, Twoplsf_obs.Events.User_restart)
+  let wait _ ~restarts = Util.Backoff.exponential ~attempt:restarts
+  include Txn_loop.Fallback_hooks
+end)
+
 let clock_ops () = Stm_intf.Stats.clock_ops stats
 let reset_stats () = Stm_intf.Stats.reset stats
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Orec.locked_count (Util.Once.get orecs) else 0

@@ -3,11 +3,8 @@ open Tvar (* brings the { id; v } field labels into scope *)
 let name = "TicToc-STM"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
 module Chaos = Twoplsf_chaos.Chaos
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 type 'a tvar = 'a Tvar.t
 
@@ -36,11 +33,7 @@ type tx = {
   locked : (int * int) Util.Vec.t; (* (orec index, pre-lock word) *)
   mutable reads : int;
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
+  loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
   mutable c_orec : int;
       (* orec the in-flight abort is pinned on, or -1 (conflict
@@ -73,18 +66,15 @@ let obs = Obs.Scope.create "TicToc-STM"
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rset = Util.Vec.create ~dummy:(-1, 0) ();
         wset = Wset.create ();
         locked = Util.Vec.create ~dummy:(-1, 0) ();
         reads = 0;
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
+        loop = Txn_loop.make_state ~tid;
         abort_reason = Obs.Events.User_restart;
         c_orec = -1;
       })
@@ -99,7 +89,7 @@ let stable_word t tx oi =
   let rec go n =
     if n > 1000 then begin
       tx.c_orec <- oi;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     if !Chaos.on then Chaos.point Chaos.Validate;
     let w = Atomic.get t.words.(oi) in
@@ -116,7 +106,7 @@ let read tx (tv : 'a tvar) : 'a =
   if tx.reads > read_budget then begin
     (* Zombie-escape budget, not a data conflict: outside the taxonomy. *)
     tx.abort_reason <- Obs.Events.User_restart;
-    raise Restart
+    raise Txn_loop.Restart
   end;
   (* Any Restart below is a read that saw a locked or changed word. *)
   tx.abort_reason <- Obs.Events.Read_validation;
@@ -132,7 +122,7 @@ let read tx (tv : 'a tvar) : 'a =
         if !Chaos.on then Chaos.point Chaos.Orec_check;
         if Atomic.get t.words.(oi) <> w then begin
           tx.c_orec <- oi;
-          raise Restart
+          raise Txn_loop.Restart
         end;
         Util.Vec.push tx.rset (oi, w);
         v
@@ -144,7 +134,7 @@ let read tx (tv : 'a tvar) : 'a =
     if !Chaos.on then Chaos.point Chaos.Orec_check;
     if Atomic.get t.words.(oi) <> w then begin
       tx.c_orec <- oi;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     Util.Vec.push tx.rset (oi, w);
     v
@@ -191,7 +181,7 @@ let commit tx =
     if not (lock_write_set t tx) then begin
       unlock_all t tx;
       tx.abort_reason <- Obs.Events.Commit_lock_conflict;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     (* Commit timestamp: above every read's wts and every write's rts. *)
     let ct = ref 0 in
@@ -231,7 +221,7 @@ let commit tx =
     if not !ok then begin
       unlock_all t tx;
       tx.abort_reason <- Obs.Events.Commit_validation;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     Wset.apply tx.wset;
     Util.Vec.iter
@@ -239,113 +229,46 @@ let commit tx =
       tx.locked
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.wset;
   Util.Vec.clear tx.locked;
   tx.reads <- 0;
   tx.abort_reason <- Obs.Events.User_restart;
   tx.c_orec <- -1;
-  tx.ro <- ro
+  tx.ro <- read_only
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let commit_t0 = ref 0 in
-  (* Native inter-attempt wait, attributed to [Backoff] under telemetry. *)
-  let native_wait n () =
-    if telemetry then begin
-      let t0 = Obs.Telemetry.now_ns () in
-      Util.Backoff.exponential ~attempt:n;
-      Obs.Scope.phase_add obs ~tid:tx.tid Obs.Phase.Backoff
-        (Obs.Telemetry.now_ns () - t0)
-    end
-    else Util.Backoff.exponential ~attempt:n
-  in
-  let rec attempt n att_t0 =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      (* Commit-time locking, OCC validation and write-back count as the
-         [Commit] phase. *)
-      if telemetry then commit_t0 := Obs.Telemetry.now_ns ();
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:!commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        if telemetry then
-          Obs.Scope.txn_abort obs ~lock:tx.c_orec ~tid:tx.tid
-            ~att_t0_ns:att_t0 tx.abort_reason;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          native_wait n ();
-          attempt (n + 1) (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(native_wait n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        (* The body holds no locks (lazy locking), but an exception
-           escaping mid-commit does: restore any commit-locked words to
-           their pre-lock values before propagating. *)
-        (if !built then unlock_all (Util.Once.get table) tx);
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1 txn_t0
+  let name = name
+  let stats = stats
+  let scope = Some obs
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt = begin_attempt
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else Admission.guard (fun () -> run tx read_only f)
+  (* Commit-time locking, OCC validation and write-back count as the
+     [Commit] phase; a failed commit has already unlocked its words. *)
+  let commit = commit
+  let rollback _ = ()
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  (* The body holds no locks (lazy locking), but an exception escaping
+     mid-commit does: restore any commit-locked words to their pre-lock
+     values before propagating. *)
+  let cleanup tx = if !built then unlock_all (Util.Once.get table) tx
+
+  (* TicToc lock words carry no owner: the aborter is always unknown. *)
+  let provenance tx = (-1, tx.c_orec, tx.abort_reason)
+  let wait tx ~restarts = Txn_loop.backoff ~scope:obs ~tid:tx.tid ~restarts
+  include Txn_loop.Fallback_hooks
+end)
+
 let clock_ops () = 0 (* TicToc's selling point: no central clock at all *)
 
 let reset_stats () =
   Stm_intf.Stats.reset stats;
   Obs.Scope.reset obs
-
-let last_restarts () = (get_tx ()).finished_restarts
 
 let leaked_locks () =
   if not !built then 0

@@ -1,11 +1,8 @@
 let name = "TinySTM"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
 module Chaos = Twoplsf_chaos.Chaos
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 (* Reintroducible bugs: each variant undoes one of the latent-race fixes
    this STM shipped with, so the schedule-exploration regression corpus
@@ -49,14 +46,10 @@ type tx = {
   undo : Wset.t;
   wlocks : (int * int) Util.Vec.t; (* (orec index, pre-lock version) *)
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
+  loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
   mutable c_orec : int; (* orec the in-flight abort is pinned on, or -1 *)
   mutable c_owner : int; (* its lock owner at detection time, or -1 *)
-  ov : Cm.state;
 }
 
 let obs = Obs.Scope.create name
@@ -78,21 +71,18 @@ let stats = Stm_intf.Stats.create ()
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rv = 0;
         rset = Util.Vec.create ~dummy:(-1, -1) ();
         undo = Wset.create ();
         wlocks = Util.Vec.create ~dummy:(-1, -1) ();
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
+        loop = Txn_loop.make_state ~tid;
         abort_reason = Obs.Events.User_restart;
         c_orec = -1;
         c_owner = -1;
-        ov = Cm.make_state ();
       })
 
 let get_tx () = Domain.DLS.get tx_key
@@ -157,7 +147,7 @@ let extend tx =
 (* Stamp the abort reason at the raise site, like the other baselines. *)
 let restart tx reason =
   tx.abort_reason <- reason;
-  raise Restart
+  raise Txn_loop.Restart
 
 let rec read tx (tv : 'a tvar) : 'a =
   let o = Util.Once.get orecs in
@@ -304,113 +294,43 @@ let commit tx =
     if wv <> tx.rv + 1 && not (validate_read_set tx) then begin
       rollback tx;
       tx.abort_reason <- Obs.Events.Commit_validation;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     release_wlocks_to tx wv
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.undo;
   Util.Vec.clear tx.wlocks;
-  tx.ro <- ro;
+  tx.ro <- read_only;
   tx.abort_reason <- Obs.Events.User_restart;
   tx.c_orec <- -1;
   tx.c_owner <- -1;
   tx.rv <- Atomic.get clock
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let commit_t0 = ref 0 in
-  (* Native inter-attempt wait, attributed to [Backoff] under telemetry. *)
-  let native_wait n () =
-    if telemetry then begin
-      let t0 = Obs.Telemetry.now_ns () in
-      Util.Backoff.exponential ~attempt:n;
-      Obs.Scope.phase_add obs ~tid:tx.tid Obs.Phase.Backoff
-        (Obs.Telemetry.now_ns () - t0)
-    end
-    else Util.Backoff.exponential ~attempt:n
-  in
-  let rec attempt n att_t0 =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      (* Commit-time validation and lock release count as [Commit]. *)
-      if telemetry then commit_t0 := Obs.Telemetry.now_ns ();
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:!commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        if telemetry then
-          Obs.Scope.txn_abort obs ~aborter:tx.c_owner ~lock:tx.c_orec
-            ~tid:tx.tid ~att_t0_ns:att_t0 tx.abort_reason;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          native_wait n ();
-          attempt (n + 1) (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(native_wait n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1 txn_t0
+  let name = name
+  let stats = stats
+  let scope = Some obs
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt = begin_attempt
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else Admission.guard (fun () -> run tx read_only f)
+  (* Commit-time validation and lock release count as [Commit]. *)
+  let commit = commit
+  let rollback = rollback
+  let cleanup = rollback
+  let provenance tx = (tx.c_owner, tx.c_orec, tx.abort_reason)
+  let wait tx ~restarts = Txn_loop.backoff ~scope:obs ~tid:tx.tid ~restarts
+  include Txn_loop.Fallback_hooks
+end)
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
 let clock_ops () = Stm_intf.Stats.clock_ops stats
 let reset_stats () =
   Stm_intf.Stats.reset stats;
   Obs.Scope.reset obs
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Orec.locked_count (Util.Once.get orecs) else 0

@@ -1,11 +1,8 @@
 let name = "TL2"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
 module Chaos = Twoplsf_chaos.Chaos
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -20,11 +17,7 @@ type tx = {
   wset : Wset.t;
   acquired : (int * int) Util.Vec.t; (* commit-time locks: (orec, old version) *)
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
+  loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
   mutable c_orec : int; (* orec the in-flight abort is pinned on, or -1 *)
   mutable c_owner : int; (* its lock owner at detection time, or -1 *)
@@ -48,18 +41,15 @@ let obs = Obs.Scope.create "TL2"
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rv = 0;
         rset = Util.Vec.create ~dummy:(-1) ();
         wset = Wset.create ();
         acquired = Util.Vec.create ~dummy:(-1, -1) ();
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
+        loop = Txn_loop.make_state ~tid;
         abort_reason = Obs.Events.User_restart;
         c_orec = -1;
         c_owner = -1;
@@ -88,14 +78,14 @@ let read tx (tv : 'a tvar) : 'a =
         if Orec.is_locked pre || Orec.version pre > tx.rv then begin
           pin tx oi pre;
           tx.abort_reason <- Obs.Events.Read_validation;
-          raise Restart
+          raise Txn_loop.Restart
         end;
         let v = tv.v in
         if !Chaos.on then Chaos.point Chaos.Orec_check;
         if Orec.get o oi <> pre then begin
           pin tx oi (Orec.get o oi);
           tx.abort_reason <- Obs.Events.Read_validation;
-          raise Restart
+          raise Txn_loop.Restart
         end;
         Util.Vec.push tx.rset oi;
         v
@@ -106,14 +96,14 @@ let read tx (tv : 'a tvar) : 'a =
     if Orec.is_locked pre || Orec.version pre > tx.rv then begin
       pin tx oi pre;
       tx.abort_reason <- Obs.Events.Read_validation;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     let v = tv.v in
     if !Chaos.on then Chaos.point Chaos.Orec_check;
     if Orec.get o oi <> pre then begin
       pin tx oi (Orec.get o oi);
       tx.abort_reason <- Obs.Events.Read_validation;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     v
   end
@@ -195,129 +185,59 @@ let commit tx =
     if not (lock_write_set tx) then begin
       release_acquired tx;
       tx.abort_reason <- Obs.Events.Commit_lock_conflict;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     let wv = 1 + Atomic.fetch_and_add clock 1 in
     Stm_intf.Stats.clock_op stats ~tid:tx.tid;
     if wv <> tx.rv + 1 && not (validate_read_set tx) then begin
       release_acquired tx;
       tx.abort_reason <- Obs.Events.Commit_validation;
-      raise Restart
+      raise Txn_loop.Restart
     end;
     Wset.apply tx.wset;
     let o = Util.Once.get orecs in
     Util.Vec.iter (fun (oi, _) -> Orec.unlock_to o oi ~version:wv) tx.acquired
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.wset;
   Util.Vec.clear tx.acquired;
-  tx.ro <- ro;
+  tx.ro <- read_only;
   tx.abort_reason <- Obs.Events.User_restart;
   tx.c_orec <- -1;
   tx.c_owner <- -1;
   tx.rv <- Atomic.get clock
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let commit_t0 = ref 0 in
-  (* The native inter-attempt wait, attributed to the [Backoff] phase
-     when telemetry is on. *)
-  let native_wait n () =
-    if telemetry then begin
-      let t0 = Obs.Telemetry.now_ns () in
-      Util.Backoff.exponential ~attempt:n;
-      Obs.Scope.phase_add obs ~tid:tx.tid Obs.Phase.Backoff
-        (Obs.Telemetry.now_ns () - t0)
-    end
-    else Util.Backoff.exponential ~attempt:n
-  in
-  let rec attempt n att_t0 =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      (* Commit-time write-set locking, validation and write-back all
-         count as the [Commit] phase. *)
-      if telemetry then commit_t0 := Obs.Telemetry.now_ns ();
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:!commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        if telemetry then
-          Obs.Scope.txn_abort obs ~aborter:tx.c_owner ~lock:tx.c_orec
-            ~tid:tx.tid ~att_t0_ns:att_t0 tx.abort_reason;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          (* Serial slow path: the fallback mutex keeps other escalated
-             transactions out; retry unconditionally. *)
-          native_wait n ();
-          attempt (n + 1) (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(native_wait n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
-              attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        (* The body holds no locks (lazy locking), but an exception
-           escaping mid-commit does: drop any commit-time orec locks to
-           their pre-lock versions before propagating. *)
-        release_acquired tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1 txn_t0
+  let name = name
+  let stats = stats
+  let scope = Some obs
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt = begin_attempt
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx read_only f)
+  (* Commit-time write-set locking, validation and write-back all count as
+     the [Commit] phase; a failed commit has already released its locks. *)
+  let commit = commit
+  let rollback _ = ()
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  (* The body holds no locks (lazy locking), but an exception escaping
+     mid-commit does: drop any commit-time orec locks to their pre-lock
+     versions before propagating. *)
+  let cleanup = release_acquired
+  let provenance tx = (tx.c_owner, tx.c_orec, tx.abort_reason)
+  let wait tx ~restarts = Txn_loop.backoff ~scope:obs ~tid:tx.tid ~restarts
+  include Txn_loop.Fallback_hooks
+end)
+
 let clock_ops () = Stm_intf.Stats.clock_ops stats
 
 let reset_stats () =
   Stm_intf.Stats.reset stats;
   Obs.Scope.reset obs
 
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Orec.locked_count (Util.Once.get orecs) else 0

@@ -3,10 +3,7 @@ module Rwl_sf = Twoplsf.Rwl_sf
 let name = "2PL-WaitDie"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
-
-exception Restart
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -19,11 +16,7 @@ type tx = {
   rset : int Util.Vec.t;
   wlocks : int Util.Vec.t;
   undo : Wset.t;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
+  loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
 }
 
@@ -52,11 +45,7 @@ let tx_key =
         rset = Util.Vec.create ~dummy:(-1) ();
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
+        loop = Txn_loop.make_state ~tid;
         abort_reason = Obs.Events.User_restart;
       })
 
@@ -74,7 +63,7 @@ let read tx (tv : 'a tvar) : 'a =
     tx.abort_reason <-
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
        else Obs.Events.Read_lock_conflict);
-    raise Restart
+    raise Txn_loop.Restart
   end
 
 let write tx tv nv =
@@ -91,7 +80,7 @@ let write tx tv nv =
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
        else if tx.ctx.Rwl_sf.preempted then Obs.Events.Priority_preemption
        else Obs.Events.Write_lock_conflict);
-    raise Restart
+    raise Txn_loop.Restart
   end
 
 let release tx =
@@ -128,108 +117,63 @@ let begin_attempt t tx =
   Util.Vec.clear tx.rset;
   Util.Vec.clear tx.wlocks;
   Wset.clear tx.undo;
+  tx.ctx.Rwl_sf.deadline_hit <- false;
   tx.abort_reason <- Obs.Events.User_restart;
   (* The wait-or-die signature: a timestamp on *every* transaction (kept
      across restarts so progress is guaranteed). *)
   Rwl_sf.take_timestamp t tx.ctx
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx f =
-  tx.restarts <- 0;
-  tx.ctx.Rwl_sf.deadline_ns <- Cm.begin_txn tx.ov;
-  tx.ctx.Rwl_sf.deadline_hit <- false;
-  let t = Util.Once.get table in
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let rec attempt att_t0 =
-    begin_attempt t tx;
-    tx.depth <- 1;
-    match f tx with
-    | v ->
-        tx.depth <- 0;
-        let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-        release tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.ctx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        tx.ctx.Rwl_sf.deadline_hit <- false;
-        Stm_intf.Stats.abort stats ~tid:tx.ctx.tid;
-        if telemetry then begin
-          (* The shared Rwl_sf slow path pins the conflicting lock and
-             owner in the ctx, exactly as for 2PLSF proper. *)
-          let aborter, lock =
-            match tx.abort_reason with
-            | Obs.Events.User_restart -> (-1, -1)
-            | _ -> (tx.ctx.Rwl_sf.o_tid, tx.ctx.Rwl_sf.o_lock)
-          in
-          Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
-            ~att_t0_ns:att_t0 tx.abort_reason
-        end;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          (* Serial slow path: the kept (now oldest-aging) timestamp plus
-             the fallback mutex guarantee eventual commit. *)
-          wait_for_all_lower t tx;
-          attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> wait_for_all_lower t tx)
-                (* Drop the announced timestamp before bailing out so no
-                   surviving transaction keeps deferring to a dead one. *)
-              ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              tx.ctx.Rwl_sf.deadline_ns <- tx.ov.Cm.deadline;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              tx.ctx.Rwl_sf.deadline_ns <- 0;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.ctx.tid
-                  Obs.Events.Irrevocable_fallback;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt txn_t0
+  let name = name
+  let stats = stats
+  let scope = Some obs
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt tx ~read_only:_ = begin_attempt (Util.Once.get table) tx
 
-let atomic ?read_only f =
-  ignore read_only;
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx f)
+  let commit tx =
+    release tx;
+    Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  let rollback = rollback
+
+  let cleanup tx =
+    rollback tx;
+    Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
+
+  (* The shared Rwl_sf slow path pins the conflicting lock and owner in the
+     ctx, exactly as for 2PLSF proper. *)
+  let provenance tx =
+    match tx.abort_reason with
+    | Obs.Events.User_restart -> (-1, -1, Obs.Events.User_restart)
+    | r -> (tx.ctx.Rwl_sf.o_tid, tx.ctx.Rwl_sf.o_lock, r)
+
+  (* The kept (now oldest-aging) timestamp guarantees eventual commit. *)
+  let wait tx ~restarts:_ = wait_for_all_lower (Util.Once.get table) tx
+
+  (* Drop the announced timestamp before bailing out so no surviving
+     transaction keeps deferring to a dead one. *)
+  let pre_raise tx = Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
+
+  (* Retire the timestamp before blocking on the fallback mutex: its holder
+     waits for every older announced transaction, so a waiter that kept
+     its timestamp would deadlock against it.  The next attempt draws a
+     fresh one. *)
+  let escalate tx =
+    pre_raise tx;
+    Txn_loop.Fallback_hooks.escalate tx
+
+  let deescalate = Txn_loop.Fallback_hooks.deescalate
+  let set_deadline tx d = tx.ctx.Rwl_sf.deadline_ns <- d
+end)
+
 let clock_ops () = Rwl_sf.clock_increments (Util.Once.get table)
 
 let reset_stats () =
   Stm_intf.Stats.reset stats;
   Rwl_sf.reset_clock_increments (Util.Once.get table);
   Obs.Scope.reset obs
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Rwl_sf.leaked (Util.Once.get table) else 0

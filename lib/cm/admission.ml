@@ -141,21 +141,6 @@ let enter () =
 
 let leave () = match !ctrl with None -> () | Some c -> Atomic.decr c.inflight
 
-(* Run a top-level transaction body under the gate.  The STMs with a
-   hand-optimized fast path inline this pattern instead (stm.ml). *)
-let guard run =
-  if not !on then run ()
-  else begin
-    enter ();
-    match run () with
-    | v ->
-        leave ();
-        v
-    | exception e ->
-        leave ();
-        raise e
-  end
-
 let width () = match !ctrl with None -> 0 | Some c -> Atomic.get c.width
 let inflight () = match !ctrl with None -> 0 | Some c -> Atomic.get c.inflight
 

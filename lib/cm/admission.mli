@@ -10,8 +10,8 @@
     branch on {!on}, the obs/chaos discipline. *)
 
 val on : bool ref
-(** Fast gate consulted by every STM's [atomic] entry.  Set by
-    {!install}, cleared by {!uninstall}; never set it directly. *)
+(** Fast gate consulted on transaction entry ({!Txn_loop} and OneFile).
+    Set by {!install}, cleared by {!uninstall}; never set it directly. *)
 
 val install :
   ?max_width:int ->
@@ -46,10 +46,6 @@ val enter : unit -> unit
 val leave : unit -> unit
 (** Return the token.  Callers must pair every {!enter} with exactly one
     [leave], including on exceptional exit. *)
-
-val guard : (unit -> 'a) -> 'a
-(** [guard run] = {!enter}; [run ()]; {!leave} (also on exceptions), or
-    just [run ()] when the gate is off. *)
 
 val width : unit -> int
 val inflight : unit -> int

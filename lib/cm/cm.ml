@@ -1,10 +1,11 @@
 (* The pluggable contention manager and the overload-protection decision
    procedure (DESIGN.md §11).
 
-   Every STM's restart arm funnels through [after_abort], which implements
-   the escalation ladder: retry (with the installed inter-attempt wait
-   policy) -> bounded restarts -> deadline -> serial-irrevocable fallback
-   or a typed exception.  The wait policies themselves are tiny modules of
+   The shared attempt loop (Txn_loop) and OneFile's read-only loop funnel
+   every failed attempt through [after_abort], which implements the
+   escalation ladder: retry (with the installed inter-attempt wait policy)
+   -> bounded restarts -> deadline -> serial-irrevocable fallback or a
+   typed exception.  The wait policies themselves are tiny modules of
    the [POLICY] signature so new strategies can be added without touching
    any STM. *)
 

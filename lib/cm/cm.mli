@@ -1,7 +1,8 @@
 (** Pluggable contention management and the overload-protection decision
     procedure (DESIGN.md §11).
 
-    Every STM's restart arm calls {!after_abort}, which implements the
+    The shared attempt loop ({!Txn_loop}) and OneFile's read-only loop
+    call {!after_abort} after every failed attempt; it implements the
     escalation ladder — retry (paced by the installed wait policy) →
     bounded restarts → per-transaction deadline → serial-irrevocable
     fallback or a typed exception ({!Stm_intf.Starved} /

@@ -2,11 +2,7 @@ let name = "2PLSF"
 
 module Obs = Twoplsf_obs
 module Chaos = Twoplsf_chaos.Chaos
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
-
-exception Restart
-(* The OCaml stand-in for the paper's longjmp back to beginTxn. *)
+module Txn_loop = Twoplsf_cm.Txn_loop
 
 type 'a tvar = { id : int; mutable v : 'a; mutable stamp : int }
 (* [stamp] identifies the transaction attempt that last undo-logged this
@@ -21,14 +17,7 @@ type tx = {
   undo : wentry Util.Vec.t;
   mutable stamp : int; (* unique per attempt: serial * max_threads + tid *)
   mutable serial : int;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable irrevocable : bool;
-  mutable escalated : bool;
-      (* the overload fallback upgraded this transaction mid-flight; the
-         zero mutex is held and must be released on every exit path *)
-  ov : Cm.state; (* overload-protection state (deadline, strikes) *)
+  loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
       (* why the in-flight attempt raised Restart; telemetry only *)
 }
@@ -74,12 +63,7 @@ let tx_key =
         undo = Util.Vec.create ~dummy:dummy_wentry ();
         stamp = tid;
         serial = 0;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        irrevocable = false;
-        escalated = false;
-        ov = Cm.make_state ();
+        loop = Txn_loop.make_state ~tid;
         abort_reason = Obs.Events.User_restart;
       })
 
@@ -101,7 +85,7 @@ let read tx tv =
     tx.abort_reason <-
       (if tx.ctx.deadline_hit then Obs.Events.Deadline
        else Obs.Events.Read_lock_conflict);
-    raise Restart
+    raise Txn_loop.Restart
   end
 
 let write tx tv nv =
@@ -121,7 +105,7 @@ let write tx tv nv =
       (if tx.ctx.deadline_hit then Obs.Events.Deadline
        else if tx.ctx.preempted then Obs.Events.Priority_preemption
        else Obs.Events.Write_lock_conflict);
-    raise Restart
+    raise Txn_loop.Restart
   end
 
 (* ---- transaction lifecycle ---- *)
@@ -149,11 +133,10 @@ let record_restart_count n =
 
 let commit tx =
   let t = Util.Once.get table in
+  if !Chaos.on then Chaos.point Chaos.Pre_commit;
   release_locks t tx;
   Rwl_sf.clear_announcement t tx.ctx;
-  Stm_stats.commit stats ~tid:tx.ctx.tid;
-  tx.finished_restarts <- tx.restarts;
-  record_restart_count tx.restarts
+  record_restart_count (Txn_loop.restarts tx.loop)
 
 let rollback tx =
   let t = Util.Once.get table in
@@ -166,160 +149,81 @@ let rollback tx =
 
 let irrevocable_priority = 1
 
-(* De-escalate an overload-escalated transaction on any exit path: the
-   zero mutex is held from the moment of escalation until the escalated
-   attempt commits or escapes with an exception. *)
-let finish_escalation t tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    tx.irrevocable <- false;
-    Rwl_sf.zero_mutex_unlock t
-  end
+module Loop = Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx f =
-  tx.restarts <- 0;
-  (* Irrevocable transactions (§2.8) are exempt from overload protection:
-     they hold the zero mutex and must commit. *)
-  tx.ctx.deadline_ns <- (if tx.irrevocable then 0 else Cm.begin_txn tx.ov);
-  let t = Util.Once.get table in
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let rec attempt att_t0 =
-    begin_attempt tx;
-    tx.depth <- 1;
-    match f tx with
-    | v ->
-        tx.depth <- 0;
-        if !Chaos.on then Chaos.point Chaos.Pre_commit;
-        let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-        commit tx;
-        finish_escalation t tx;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        Stm_stats.abort stats ~tid:tx.ctx.tid;
-        if telemetry then begin
-          (* Provenance: the conflictor and lock the failed acquisition
-             recorded in the ctx; explicit user restarts have neither. *)
-          let aborter, lock =
-            match tx.abort_reason with
-            | Obs.Events.User_restart -> (-1, -1)
-            | _ -> (tx.ctx.o_tid, tx.ctx.o_lock)
-          in
-          Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
-            ~att_t0_ns:att_t0 tx.abort_reason
-        end;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated || tx.irrevocable then begin
-          (* Already on the serial slow path (or §2.8 irrevocable): only a
-             chaos-injected spurious failure can abort us; retry
-             unconditionally — priority 1 wins every real conflict. *)
-          Rwl_sf.wait_for_conflictor t tx.ctx;
-          attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> Rwl_sf.wait_for_conflictor t tx.ctx)
-                (* Locks are already released; cleanup drops the priority
-                   announcement too so no other thread keeps deferring to
-                   a timestamp that will never commit. *)
-              ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-          | Cm.Escalate ->
-              (* Serial-irrevocable fallback (DESIGN.md §11): take the
-                 zero mutex and the reserved priority, so the next attempt
-                 cannot lose a conflict and commits. *)
-              Rwl_sf.clear_announcement t tx.ctx;
-              Rwl_sf.zero_mutex_lock t;
-              Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
-              tx.escalated <- true;
-              tx.irrevocable <- true;
-              tx.ctx.deadline_ns <- 0;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.ctx.tid
-                  Obs.Events.Irrevocable_fallback;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation t tx;
-        raise e
-  in
-  attempt txn_t0
+  let name = name
+  let stats = stats
+  let scope = Some obs
+  let get_tx = get_tx
+  let state tx = tx.loop
+  let begin_attempt tx ~read_only:_ = begin_attempt tx
+  let commit = commit
+  let rollback = rollback
 
-let atomic ?read_only f =
-  ignore read_only;
-  (* 2PLSF reads are pessimistic; read-only transactions take the same
-     path (no commit-time validation exists to skip). *)
+  let cleanup tx =
+    rollback tx;
+    Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
+
+  (* The conflictor and lock the failed acquisition recorded in the ctx;
+     explicit user restarts have neither. *)
+  let provenance tx =
+    match tx.abort_reason with
+    | Obs.Events.User_restart -> (-1, -1, Obs.Events.User_restart)
+    | r -> (tx.ctx.o_tid, tx.ctx.o_lock, r)
+
+  let wait tx ~restarts:_ =
+    Rwl_sf.wait_for_conflictor (Util.Once.get table) tx.ctx
+
+  (* Locks are already released; also drop the priority announcement so no
+     other thread keeps deferring to a timestamp that will never commit. *)
+  let pre_raise tx = Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
+
+  (* Serial-irrevocable fallback: the zero mutex and the reserved priority,
+     so the next attempt cannot lose a conflict and commits. *)
+  let escalate tx =
+    let t = Util.Once.get table in
+    Rwl_sf.clear_announcement t tx.ctx;
+    Rwl_sf.zero_mutex_lock t;
+    Rwl_sf.announce_priority t tx.ctx irrevocable_priority
+
+  let deescalate _ = Rwl_sf.zero_mutex_unlock (Util.Once.get table)
+  let set_deadline tx d = tx.ctx.deadline_ns <- d
+end)
+
+(* 2PLSF reads are pessimistic; read-only transactions take the same path
+   (no commit-time validation exists to skip). *)
+let atomic = Loop.atomic
+
+(* §2.8: announce the reserved priority (and, for writers, take the zero
+   mutex serializing irrevocable writers) before the first attempt; the
+   shared loop then runs the body exempt from overload protection. *)
+let irrevocably ~fn ~writer f =
   let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else if !Admission.on then begin
-    Admission.enter ();
-    match run tx f with
-    | v ->
-        Admission.leave ();
-        v
-    | exception e ->
-        Admission.leave ();
-        raise e
-  end
-  else run tx f
+  if Txn_loop.active tx.loop then
+    invalid_arg (fn ^ ": already in a transaction");
+  let t = Util.Once.get table in
+  if writer then Rwl_sf.zero_mutex_lock t;
+  Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
+  if !Obs.Telemetry.on then
+    Obs.Scope.event obs ~tid:tx.ctx.tid Obs.Events.Irrevocable_upgrade;
+  match Loop.atomic_irrevocable f with
+  | v ->
+      if writer then Rwl_sf.zero_mutex_unlock t;
+      v
+  | exception e ->
+      if writer then Rwl_sf.zero_mutex_unlock t;
+      raise e
 
 let atomic_irrevocable_ro f =
-  let tx = get_tx () in
-  if tx.depth > 0 then invalid_arg "atomic_irrevocable_ro: already in a transaction";
-  let t = Util.Once.get table in
-  Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
-  tx.irrevocable <- true;
-  if !Obs.Telemetry.on then
-    Obs.Scope.event obs ~tid:tx.ctx.tid Obs.Events.Irrevocable_upgrade;
-  let finish () = tx.irrevocable <- false in
-  match atomic f with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+  irrevocably ~fn:"atomic_irrevocable_ro" ~writer:false f
 
-let atomic_irrevocable f =
-  let tx = get_tx () in
-  if tx.depth > 0 then invalid_arg "atomic_irrevocable: already in a transaction";
-  let t = Util.Once.get table in
-  Rwl_sf.zero_mutex_lock t;
-  Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
-  tx.irrevocable <- true;
-  if !Obs.Telemetry.on then
-    Obs.Scope.event obs ~tid:tx.ctx.tid Obs.Events.Irrevocable_upgrade;
-  let finish () =
-    tx.irrevocable <- false;
-    Rwl_sf.zero_mutex_unlock t
-  in
-  match atomic f with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+let atomic_irrevocable f = irrevocably ~fn:"atomic_irrevocable" ~writer:true f
 
 (* ---- statistics ---- *)
 
-let commits () = Stm_stats.commits stats
-let aborts () = Stm_stats.aborts stats
+let commits = Loop.commits
+let aborts = Loop.aborts
 let clock_ops () = Rwl_sf.clock_increments (Util.Once.get table)
 
 let reset_stats () =
@@ -328,7 +232,7 @@ let reset_stats () =
   Obs.Scope.reset obs;
   Array.iter (fun c -> Atomic.set c 0) restart_hist
 
-let last_restarts () = (get_tx ()).finished_restarts
+let last_restarts = Loop.last_restarts
 
 let leaked_locks () = if !configured then Rwl_sf.leaked (Util.Once.get table) else 0
 

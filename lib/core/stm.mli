@@ -26,12 +26,15 @@ val atomic_irrevocable_ro : (tx -> 'a) -> 'a
     reserved priority timestamp before starting, so no conflict can ever
     restart it.  Multiple irrevocable read-only transactions may run
     concurrently.  Sacrifices starvation-freedom for the other threads'
-    bound (they may wait behind it) — and must not write. *)
+    bound (they may wait behind it) — and must not write.  Like
+    {!atomic_irrevocable}, exempt from deadlines and the admission gate. *)
 
 val atomic_irrevocable : (tx -> 'a) -> 'a
 (** Run a write transaction irrevocably: acquires the zero-mutex (which
     serializes irrevocable writers) and the reserved priority, executes to
-    commit without ever restarting, then releases the mutex.  Avoid
+    commit without ever restarting, then releases the mutex.  Exempt from
+    deadlines and the admission gate: waiting for a token while holding
+    the mutex could deadlock against an escalating token holder.  Avoid
     overlapping with {!atomic_irrevocable_ro} transactions whose footprints
     intersect: two never-restart transactions can otherwise wait on each
     other (documented limitation, inherited from the paper's sketch). *)

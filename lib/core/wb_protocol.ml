@@ -21,10 +21,7 @@ struct
 
   module Obs = Twoplsf_obs
   module Chaos = Twoplsf_chaos.Chaos
-  module Cm = Twoplsf_cm.Cm
-  module Admission = Twoplsf_cm.Admission
-
-  exception Restart
+  module Txn_loop = Twoplsf_cm.Txn_loop
 
   type 'a tvar = { id : int; mutable v : 'a }
 
@@ -40,12 +37,7 @@ struct
     wset : int Util.Vec.t;
     redo : rentry Util.Vec.t;
     mutable bloom : int;
-    mutable depth : int;
-    mutable restarts : int;
-    mutable finished_restarts : int;
-    mutable escalated : bool;
-        (* overload fallback: zero mutex held, priority 1 announced *)
-    ov : Cm.state;
+    loop : Txn_loop.state;
     mutable abort_reason : Obs.Events.abort_reason;
   }
 
@@ -77,11 +69,7 @@ struct
           wset = Util.Vec.create ~dummy:(-1) ();
           redo = Util.Vec.create ~dummy:dummy_rentry ();
           bloom = 0;
-          depth = 0;
-          restarts = 0;
-          finished_restarts = 0;
-          escalated = false;
-          ov = Cm.make_state ();
+          loop = Txn_loop.make_state ~tid;
           abort_reason = Obs.Events.User_restart;
         })
 
@@ -137,7 +125,7 @@ struct
           tx.abort_reason <-
             (if tx.ctx.deadline_hit then Obs.Events.Deadline
              else Obs.Events.Read_lock_conflict);
-          raise Restart
+          raise Txn_loop.Restart
         end
 
   let acquire_write_lock tx tv =
@@ -157,7 +145,7 @@ struct
     end
 
   let write tx tv nv =
-    if P.eager && not (acquire_write_lock tx tv) then raise Restart;
+    if P.eager && not (acquire_write_lock tx tv) then raise Txn_loop.Restart;
     redo_put tx tv nv
 
   let release_locks t tx =
@@ -172,12 +160,16 @@ struct
     tx.ctx.deadline_hit <- false;
     tx.abort_reason <- Obs.Events.User_restart
 
+  (* Commit-time locking (deferred mode), write-back and release all count
+     as the [Commit] phase. *)
   let commit tx =
     let t = Util.Once.get table in
+    if !Chaos.on then Chaos.point Chaos.Pre_commit;
     (* Deferred locking: the expanding phase ends here. *)
     if not P.eager then
       Util.Vec.iter
-        (fun (R e) -> if not (acquire_write_lock tx e.tv) then raise Restart)
+        (fun (R e) ->
+          if not (acquire_write_lock tx e.tv) then raise Txn_loop.Restart)
         tx.redo;
     (* Chaos: delay-only site — all write locks are held and the install
        below must run to completion (there is no undo log to recover a
@@ -186,118 +178,49 @@ struct
     (* Install buffered writes while every lock is held. *)
     Util.Vec.iter (fun (R e) -> e.tv.v <- e.nv) tx.redo;
     release_locks t tx;
-    Rwl_sf.clear_announcement t tx.ctx;
-    Stm_intf.Stats.commit stats ~tid:tx.ctx.tid
+    Rwl_sf.clear_announcement t tx.ctx
 
-  let abort_cleanup t tx =
-    (* No rollback needed: memory was never written.  Just drop locks. *)
-    release_locks t tx
+  (* No rollback needed: memory was never written.  Just drop locks. *)
+  let abort_cleanup tx = release_locks (Util.Once.get table) tx
 
   let irrevocable_priority = 1
 
-  let finish_escalation t tx =
-    if tx.escalated then begin
-      tx.escalated <- false;
-      Rwl_sf.zero_mutex_unlock t
-    end
+  include Txn_loop.Make (struct
+    type nonrec tx = tx
 
-  let run tx f =
-    tx.restarts <- 0;
-    tx.ctx.deadline_ns <- Cm.begin_txn tx.ov;
-    let t = Util.Once.get table in
-    let telemetry = !Obs.Telemetry.on in
-    let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-    let commit_t0 = ref 0 in
-    let rec attempt att_t0 =
-      begin_attempt tx;
-      tx.depth <- 1;
-      match
-        let v = f tx in
-        tx.depth <- 0;
-        if !Chaos.on then Chaos.point Chaos.Pre_commit;
-        (* Commit-phase start: commit-time locking (deferred mode),
-           write-back and release are all attributed to [Commit]. *)
-        if telemetry then commit_t0 := Obs.Telemetry.now_ns ();
-        commit tx;
-        v
-      with
-      | v ->
-          finish_escalation t tx;
-          tx.finished_restarts <- tx.restarts;
-          if telemetry then
-            Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-              ~att_t0_ns:att_t0 ~commit_t0_ns:!commit_t0 ();
-          v
-      | exception Restart ->
-          tx.depth <- 0;
-          abort_cleanup t tx;
-          Stm_intf.Stats.abort stats ~tid:tx.ctx.tid;
-          if telemetry then begin
-            let aborter, lock =
-              match tx.abort_reason with
-              | Obs.Events.User_restart -> (-1, -1)
-              | _ -> (tx.ctx.o_tid, tx.ctx.o_lock)
-            in
-            Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
-              ~att_t0_ns:att_t0 tx.abort_reason
-          end;
-          tx.restarts <- tx.restarts + 1;
-          if tx.escalated then begin
-            (* Serial slow path: only a chaos-injected spurious failure
-               can abort us; retry unconditionally. *)
-            Rwl_sf.wait_for_conflictor t tx.ctx;
-            attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-          end
-          else begin
-            match
-              Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-                ~st:tx.ov
-                ~native_wait:(fun () -> Rwl_sf.wait_for_conflictor t tx.ctx)
-                ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
-                ~reasons:(fun () ->
-                  if telemetry then Obs.Scope.abort_counts obs else [])
-            with
-            | Cm.Retry ->
-                tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-                attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-            | Cm.Escalate ->
-                Rwl_sf.clear_announcement t tx.ctx;
-                Rwl_sf.zero_mutex_lock t;
-                Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
-                tx.escalated <- true;
-                tx.ctx.deadline_ns <- 0;
-                if telemetry then
-                  Obs.Scope.event obs ~tid:tx.ctx.tid
-                    Obs.Events.Irrevocable_fallback;
-                attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
-          end
-      | exception e ->
-          tx.depth <- 0;
-          abort_cleanup t tx;
-          Rwl_sf.clear_announcement t tx.ctx;
-          finish_escalation t tx;
-          raise e
-    in
-    attempt txn_t0
+    let name = name
+    let stats = stats
+    let scope = Some obs
+    let get_tx = get_tx
+    let state tx = tx.loop
+    let begin_attempt tx ~read_only:_ = begin_attempt tx
+    let commit = commit
+    let rollback = abort_cleanup
 
-  let atomic ?read_only f =
-    ignore read_only;
-    let tx = get_tx () in
-    if tx.depth > 0 then f tx
-    else if !Admission.on then begin
-      Admission.enter ();
-      match run tx f with
-      | v ->
-          Admission.leave ();
-          v
-      | exception e ->
-          Admission.leave ();
-          raise e
-    end
-    else run tx f
+    let cleanup tx =
+      abort_cleanup tx;
+      Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
 
-  let commits () = Stm_intf.Stats.commits stats
-  let aborts () = Stm_intf.Stats.aborts stats
+    let provenance tx =
+      match tx.abort_reason with
+      | Obs.Events.User_restart -> (-1, -1, Obs.Events.User_restart)
+      | r -> (tx.ctx.o_tid, tx.ctx.o_lock, r)
+
+    let wait tx ~restarts:_ =
+      Rwl_sf.wait_for_conflictor (Util.Once.get table) tx.ctx
+
+    let pre_raise tx = Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
+
+    let escalate tx =
+      let t = Util.Once.get table in
+      Rwl_sf.clear_announcement t tx.ctx;
+      Rwl_sf.zero_mutex_lock t;
+      Rwl_sf.announce_priority t tx.ctx irrevocable_priority
+
+    let deescalate _ = Rwl_sf.zero_mutex_unlock (Util.Once.get table)
+    let set_deadline tx d = tx.ctx.deadline_ns <- d
+  end)
+
   let clock_ops () = Rwl_sf.clock_increments (Util.Once.get table)
 
   let reset_stats () =
@@ -305,7 +228,6 @@ struct
     Rwl_sf.reset_clock_increments (Util.Once.get table);
     Obs.Scope.reset obs
 
-  let last_restarts () = (get_tx ()).finished_restarts
   let leaked_locks () =
     if !configured then Rwl_sf.leaked (Util.Once.get table) else 0
 end

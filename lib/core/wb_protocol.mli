@@ -14,9 +14,8 @@
       phase merely extends into the commit ({!Stm_wbd}).
 
     Aborts discard the buffer instead of rolling memory back.  Internals
-    (the redo log, its bloom filter, the restart exception) are hidden:
-    the protocol surface is exactly {!Stm_intf.STM} plus lock-table
-    sizing. *)
+    (the redo log and its bloom filter) are hidden: the protocol surface is
+    exactly {!Stm_intf.STM} plus lock-table sizing. *)
 
 module Make (_ : sig
   val name : string

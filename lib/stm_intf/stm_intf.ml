@@ -134,8 +134,8 @@ module type STM = sig
 
   val read : tx -> 'a tvar -> 'a
   (** Transactional read ([stmRead]).  May internally restart the enclosing
-      {!atomic} by raising the STM's private restart exception: never catch
-      arbitrary exceptions around it inside a transaction. *)
+      {!atomic} by raising the shared [Txn_loop.Restart] exception: never
+      catch arbitrary exceptions around it inside a transaction. *)
 
   val write : tx -> 'a tvar -> 'a -> unit
   (** Transactional write ([stmWrite]); same restart caveat as {!read}. *)
