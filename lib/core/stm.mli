@@ -16,10 +16,10 @@
 include Stm_intf.STM
 
 val configure : ?num_locks:int -> unit -> unit
-(** Set the size of the shared lock table (power of two, default 65536).
-    Must be called before the first transaction; later calls raise
-    [Failure].  (The paper uses 4M locks over 2^16 threads; see DESIGN.md
-    on the scaled default.) *)
+(** Set the size of the shared lock table (power of two >= 32, default
+    65536; other sizes raise [Invalid_argument]).  Must be called before
+    the first transaction; later calls raise [Failure].  (The paper uses
+    4M locks over 2^16 threads; see DESIGN.md on the scaled default.) *)
 
 val atomic_irrevocable_ro : (tx -> 'a) -> 'a
 (** Run a read-only transaction irrevocably (§2.8): it announces the

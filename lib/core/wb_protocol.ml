@@ -31,47 +31,20 @@ struct
      cannot depend on the baselines library). *)
   type rentry = R : { tv : 'a tvar; mutable nv : 'a } -> rentry
 
-  type tx = {
-    ctx : Rwl_sf.ctx;
-    rset : int Util.Vec.t;
-    wset : int Util.Vec.t;
-    redo : rentry Util.Vec.t;
-    mutable bloom : int;
-    loop : Txn_loop.state;
-    mutable abort_reason : Obs.Events.abort_reason;
-  }
+  type redo = { entries : rentry Util.Vec.t; mutable bloom : int }
+  type tx = redo Sf_txn.t
 
-  let requested_num_locks = ref 65536
-  let configured = ref false
   let obs = Obs.Scope.create P.name
-
-  let table =
-    Util.Once.create (fun () ->
-        configured := true;
-        let t = Rwl_sf.create ~num_locks:!requested_num_locks () in
-        Rwl_sf.set_obs t obs;
-        t)
-
-  let configure ?(num_locks = 65536) () =
-    if !configured then failwith (name ^ ".configure: lock table already built");
-    requested_num_locks := num_locks
-
+  let table = Sf_txn.table ~name obs
+  let configure ?num_locks () = Sf_txn.configure table ?num_locks ()
   let stats = Stm_intf.Stats.create ()
 
   let dummy_rentry = R { tv = { id = -1; v = () }; nv = () }
 
   let tx_key =
     Domain.DLS.new_key (fun () ->
-        let tid = Util.Tid.get () in
-        {
-          ctx = Rwl_sf.make_ctx ~tid;
-          rset = Util.Vec.create ~dummy:(-1) ();
-          wset = Util.Vec.create ~dummy:(-1) ();
-          redo = Util.Vec.create ~dummy:dummy_rentry ();
-          bloom = 0;
-          loop = Txn_loop.make_state ~tid;
-          abort_reason = Obs.Events.User_restart;
-        })
+        Sf_txn.make (Sf_txn.locks table) ~tid:(Util.Tid.get ())
+          { entries = Util.Vec.create ~dummy:dummy_rentry (); bloom = 0 })
 
   let get_tx () = Domain.DLS.get tx_key
 
@@ -79,155 +52,89 @@ struct
 
   let bloom_bit id = 1 lsl (id land 62)
 
-  let redo_find : type a. tx -> a tvar -> a option =
-   fun tx tv ->
-    if tx.bloom land bloom_bit tv.id = 0 then None
+  let redo_find : type a. redo -> a tvar -> a option =
+   fun r tv ->
+    if r.bloom land bloom_bit tv.id = 0 then None
     else begin
-      let n = Util.Vec.length tx.redo in
+      let n = Util.Vec.length r.entries in
       let rec go i =
         if i >= n then None
         else
-          match Util.Vec.get tx.redo i with
+          match Util.Vec.get r.entries i with
           | R e when e.tv.id = tv.id -> Some (Obj.magic e.nv)
           | R _ -> go (i + 1)
       in
       go 0
     end
 
-  let redo_put tx tv nv =
-    let n = Util.Vec.length tx.redo in
+  let redo_put r tv nv =
+    let n = Util.Vec.length r.entries in
     let rec update i =
-      if i >= n then Util.Vec.push tx.redo (R { tv; nv })
+      if i >= n then Util.Vec.push r.entries (R { tv; nv })
       else
-        match Util.Vec.get tx.redo i with
+        match Util.Vec.get r.entries i with
         | R e when e.tv.id = tv.id -> e.nv <- Obj.magic nv
         | R _ -> update (i + 1)
     in
-    if tx.bloom land bloom_bit tv.id = 0 then begin
-      Util.Vec.push tx.redo (R { tv; nv });
-      tx.bloom <- tx.bloom lor bloom_bit tv.id
+    if r.bloom land bloom_bit tv.id = 0 then begin
+      Util.Vec.push r.entries (R { tv; nv });
+      r.bloom <- r.bloom lor bloom_bit tv.id
     end
     else update 0
 
-  let read tx tv =
-    match redo_find tx tv with
+  let read (tx : tx) tv =
+    match redo_find tx.log tv with
     | Some v -> v
     | None ->
-        let t = Util.Once.get table in
-        let w = Rwl_sf.lock_index t tv.id in
-        if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then
-          tv.v
-        else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then begin
-          Util.Vec.push tx.rset w;
-          tv.v
-        end
-        else begin
-          tx.abort_reason <-
-            (if tx.ctx.deadline_hit then Obs.Events.Deadline
-             else Obs.Events.Read_lock_conflict);
-          raise Txn_loop.Restart
-        end
+        Sf_txn.read_lock tx tv.id;
+        tv.v
 
-  let acquire_write_lock tx tv =
-    let t = Util.Once.get table in
-    let w = Rwl_sf.lock_index t tv.id in
-    let held = Rwl_sf.holds_write t tx.ctx w in
-    if held || Rwl_sf.try_or_wait_write_lock t tx.ctx w then begin
-      if not held then Util.Vec.push tx.wset w;
-      true
-    end
-    else begin
-      tx.abort_reason <-
-        (if tx.ctx.deadline_hit then Obs.Events.Deadline
-         else if tx.ctx.preempted then Obs.Events.Priority_preemption
-         else Obs.Events.Write_lock_conflict);
-      false
-    end
+  let write (tx : tx) tv nv =
+    if P.eager then Sf_txn.write_lock tx tv.id;
+    redo_put tx.log tv nv
 
-  let write tx tv nv =
-    if P.eager && not (acquire_write_lock tx tv) then raise Txn_loop.Restart;
-    redo_put tx tv nv
-
-  let release_locks t tx =
-    Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wset;
-    Util.Vec.iter (fun w -> Rwl_sf.read_unlock t tx.ctx w) tx.rset
-
-  let begin_attempt tx =
-    Util.Vec.clear tx.rset;
-    Util.Vec.clear tx.wset;
-    Util.Vec.clear tx.redo;
-    tx.bloom <- 0;
-    tx.ctx.deadline_hit <- false;
-    tx.abort_reason <- Obs.Events.User_restart
+  let begin_attempt (tx : tx) =
+    Sf_txn.begin_attempt tx;
+    Util.Vec.clear tx.log.entries;
+    tx.log.bloom <- 0
 
   (* Commit-time locking (deferred mode), write-back and release all count
      as the [Commit] phase. *)
-  let commit tx =
-    let t = Util.Once.get table in
+  let commit (tx : tx) =
     if !Chaos.on then Chaos.point Chaos.Pre_commit;
     (* Deferred locking: the expanding phase ends here. *)
     if not P.eager then
-      Util.Vec.iter
-        (fun (R e) ->
-          if not (acquire_write_lock tx e.tv) then raise Txn_loop.Restart)
-        tx.redo;
+      Util.Vec.iter (fun (R e) -> Sf_txn.write_lock tx e.tv.id) tx.log.entries;
     (* Chaos: delay-only site — all write locks are held and the install
        below must run to completion (there is no undo log to recover a
        partial write-back); [Chaos.point] never raises by contract. *)
     if !Chaos.on then Chaos.point Chaos.Mid_writeback;
     (* Install buffered writes while every lock is held. *)
-    Util.Vec.iter (fun (R e) -> e.tv.v <- e.nv) tx.redo;
-    release_locks t tx;
-    Rwl_sf.clear_announcement t tx.ctx
-
-  (* No rollback needed: memory was never written.  Just drop locks. *)
-  let abort_cleanup tx = release_locks (Util.Once.get table) tx
-
-  let irrevocable_priority = 1
+    Util.Vec.iter (fun (R e) -> e.tv.v <- e.nv) tx.log.entries;
+    Sf_txn.finish tx
 
   include Txn_loop.Make (struct
+    include Sf_txn.Hooks
+
     type nonrec tx = tx
 
     let name = name
     let stats = stats
     let scope = Some obs
     let get_tx = get_tx
-    let state tx = tx.loop
     let begin_attempt tx ~read_only:_ = begin_attempt tx
     let commit = commit
-    let rollback = abort_cleanup
 
-    let cleanup tx =
-      abort_cleanup tx;
-      Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
-
-    let provenance tx =
-      match tx.abort_reason with
-      | Obs.Events.User_restart -> (-1, -1, Obs.Events.User_restart)
-      | r -> (tx.ctx.o_tid, tx.ctx.o_lock, r)
-
-    let wait tx ~restarts:_ =
-      Rwl_sf.wait_for_conflictor (Util.Once.get table) tx.ctx
-
-    let pre_raise tx = Rwl_sf.clear_announcement (Util.Once.get table) tx.ctx
-
-    let escalate tx =
-      let t = Util.Once.get table in
-      Rwl_sf.clear_announcement t tx.ctx;
-      Rwl_sf.zero_mutex_lock t;
-      Rwl_sf.announce_priority t tx.ctx irrevocable_priority
-
-    let deescalate _ = Rwl_sf.zero_mutex_unlock (Util.Once.get table)
-    let set_deadline tx d = tx.ctx.deadline_ns <- d
+    (* No rollback needed: memory was never written.  Just drop locks. *)
+    let rollback = Sf_txn.release
+    let cleanup = Sf_txn.finish
   end)
 
-  let clock_ops () = Rwl_sf.clock_increments (Util.Once.get table)
+  let clock_ops () = Sf_txn.clock_ops table
 
   let reset_stats () =
     Stm_intf.Stats.reset stats;
-    Rwl_sf.reset_clock_increments (Util.Once.get table);
-    Obs.Scope.reset obs
+    Sf_txn.reset table
 
-  let leaked_locks () =
-    if !configured then Rwl_sf.leaked (Util.Once.get table) else 0
+  let leaked_locks () = Sf_txn.leaked_locks table
 end

@@ -29,6 +29,7 @@ end) : sig
   include Stm_intf.STM
 
   val configure : ?num_locks:int -> unit -> unit
-  (** Size this instance's lock table (power of two, default 65536).
-      Must precede the first transaction; later calls raise [Failure]. *)
+  (** Size this instance's lock table (power of two >= 32, default 65536;
+      other sizes raise [Invalid_argument]).  Must precede the first
+      transaction; later calls raise [Failure]. *)
 end

@@ -1,4 +1,5 @@
 module Rwl_sf = Twoplsf.Rwl_sf
+module Sf_txn = Twoplsf.Sf_txn
 module Obs = Twoplsf_obs
 module Chaos = Twoplsf_chaos.Chaos
 module Wal = Twoplsf_wal.Wal
@@ -9,17 +10,11 @@ let name = "2PLSF"
    "2PLSF" scope; Runner looks it up as "DBx-" ^ name. *)
 let obs = Obs.Scope.create "DBx-2PLSF"
 
-type per_thread = {
-  ctx : Rwl_sf.ctx;
-  rlocks : int Util.Vec.t;
-  wlocks : int Util.Vec.t;
-  undo : (int * Bytes.t) Util.Vec.t; (* (rid, pre-image) *)
-  mutable abort_reason : Obs.Events.abort_reason;
-}
+type per_thread = (int * Bytes.t) Util.Vec.t Sf_txn.t
+(* the log holds (rid, pre-image) pairs *)
 
 type t = {
   table : Table.t;
-  locks : Rwl_sf.t;
   threads : per_thread array;
   mutable wal : Wal.t option;  (* durability hook; None = in-memory only *)
   degraded : string option Atomic.t;
@@ -37,16 +32,9 @@ let create table =
   Rwl_sf.set_obs locks obs;
   {
     table;
-    locks;
     threads =
       Array.init Util.Tid.max_threads (fun tid ->
-          {
-            ctx = Rwl_sf.make_ctx ~tid;
-            rlocks = Util.Vec.create ~dummy:(-1) ();
-            wlocks = Util.Vec.create ~dummy:(-1) ();
-            undo = Util.Vec.create ~dummy:(-1, Bytes.empty) ();
-            abort_reason = Obs.Events.User_restart;
-          });
+          Sf_txn.make locks ~tid (Util.Vec.create ~dummy:(-1, Bytes.empty) ()));
     wal = None;
     degraded = Atomic.make None;
     m_readonly_rejects = Atomic.make 0;
@@ -64,34 +52,30 @@ let readonly_fail t reason =
   Atomic.incr t.m_readonly_rejects;
   raise (Stm_intf.Degraded_read_only { engine = "DBx-2PLSF"; reason })
 
-let release t p =
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock t.locks p.ctx w) p.wlocks;
-  Util.Vec.iter (fun w -> Rwl_sf.read_unlock t.locks p.ctx w) p.rlocks
-
-let rollback t p =
+(* Put every pre-image back, newest first. *)
+let undo t (p : per_thread) =
   Util.Vec.iter_rev
     (fun (rid, image) -> Bytes.blit image 0 (Table.payload t.table rid) 0 Table.tuple_size)
-    p.undo;
+    p.log;
   (* Close every row's checkpoint seqlock window only after the whole
      pre-image is back in place (a duplicate rid's mark is already even
      after the first pass — [mark_undo] is parity-guarded). *)
-  (match t.wal with
-  | Some w -> Util.Vec.iter (fun (rid, _) -> Wal.mark_undo w ~rid) p.undo
-  | None -> ());
-  release t p
+  match t.wal with
+  | Some w -> Util.Vec.iter (fun (rid, _) -> Wal.mark_undo w ~rid) p.log
+  | None -> ()
 
 (* Commit finalization under the full write-lock set.  With a WAL
    attached and at least one write, the commit window is where the LSN
    is drawn ([Wal.log_commit] under the locks aligns LSN order with the
    serialization order) — the durability *wait* happens after release,
    so holding the locks never spans an fsync. *)
-let commit_locked t p =
+let commit_locked t (p : per_thread) =
   match t.wal with
-  | Some w when not (Util.Vec.is_empty p.undo) -> begin
+  | Some w when not (Util.Vec.is_empty p.log) -> begin
       if !Chaos.on then Chaos.point Chaos.Commit_durable_pre;
       match
-        Wal.log_commit w ~tid:p.ctx.tid ~n:(Util.Vec.length p.undo)
-          ~rid:(fun i -> fst (Util.Vec.get p.undo i))
+        Wal.log_commit w ~tid:p.ctx.tid ~n:(Util.Vec.length p.log)
+          ~rid:(fun i -> fst (Util.Vec.get p.log i))
       with
       | exception Wal.Degraded reason ->
           (* The log refused before drawing an LSN: locks are still held
@@ -99,13 +83,12 @@ let commit_locked t p =
              cleanly and the engine flips read-only. *)
           p.abort_reason <- Obs.Events.Wal_degraded;
           enter_degraded t reason;
-          rollback t p;
-          Rwl_sf.clear_announcement t.locks p.ctx;
+          undo t p;
+          Sf_txn.finish p;
           readonly_fail t reason
       | lsn -> (
           if !Chaos.on then Chaos.point Chaos.Commit_durable_mid;
-          release t p;
-          Rwl_sf.clear_announcement t.locks p.ctx;
+          Sf_txn.finish p;
           if !Chaos.on then Chaos.point Chaos.Commit_durable_post;
           let wait () =
             match Wal.wait_durable w ~lsn with
@@ -129,60 +112,66 @@ let commit_locked t p =
           end
           else wait ())
     end
-  | _ ->
-      release t p;
-      Rwl_sf.clear_announcement t.locks p.ctx
+  | _ -> Sf_txn.finish p
 
-let attempt t p (txn : Ycsb.txn) =
-  Util.Vec.clear p.rlocks;
-  Util.Vec.clear p.wlocks;
-  Util.Vec.clear p.undo;
-  let n = Array.length txn.keys in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let rid = Table.lookup t.table txn.keys.(!i) in
-    let w = Rwl_sf.lock_index t.locks rid in
-    (match txn.ops.(!i) with
+(* Write-lock row [rid] and log its pre-image; returns the live payload. *)
+let lock_for_write t p rid =
+  Sf_txn.write_lock p rid;
+  let payload = Table.payload t.table rid in
+  Util.Vec.push p.Sf_txn.log (rid, Bytes.copy payload);
+  (match t.wal with Some w -> Wal.mark_dirty w ~rid | None -> ());
+  payload
+
+(* One attempt of [body] and, after a restart, the next ones: roll back,
+   wait for the conflictor, retry (Algorithm 1).  Any other exception from
+   the body rolls back, releases and clears the announcement before it
+   escapes, as in [Txn_loop]; the commit window handles its own failure. *)
+let rec attempt t p ~telemetry ~txn_t0 body arg aborts att_t0 =
+  Sf_txn.begin_attempt p;
+  Util.Vec.clear p.log;
+  match body t p arg with
+  | () -> (
+      match commit_locked t p with
+      | () ->
+          if telemetry then
+            Obs.Scope.txn_commit obs ~tid:p.ctx.tid ~txn_t0_ns:txn_t0
+              ~att_t0_ns:att_t0 ();
+          aborts
+      | exception (Stm_intf.Degraded_read_only _ as e) ->
+          (* terminal abort: count it before the raise escapes *)
+          if telemetry then
+            Obs.Scope.txn_abort obs ~tid:p.ctx.tid ~att_t0_ns:att_t0
+              p.abort_reason;
+          raise e)
+  | exception Twoplsf_cm.Txn_loop.Restart ->
+      undo t p;
+      Sf_txn.release p;
+      if telemetry then
+        Obs.Scope.txn_abort obs ~tid:p.ctx.tid ~att_t0_ns:att_t0 p.abort_reason;
+      Sf_txn.wait_for_conflictor p;
+      attempt t p ~telemetry ~txn_t0 body arg (aborts + 1)
+        (if telemetry then Obs.Telemetry.now_ns () else 0)
+  | exception e ->
+      undo t p;
+      Sf_txn.finish p;
+      raise e
+
+(* The one retry loop of both transaction kinds: run [body t p arg] to
+   commit and return the aborted-attempt count. *)
+let run t ~tid body arg =
+  let telemetry = !Obs.Telemetry.on in
+  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
+  attempt t t.threads.(tid) ~telemetry ~txn_t0 body arg 0 txn_t0
+
+let ycsb t p (txn : Ycsb.txn) =
+  for i = 0 to Array.length txn.keys - 1 do
+    let rid = Table.lookup t.table txn.keys.(i) in
+    match txn.ops.(i) with
     | Ycsb.Read ->
-        if
-          Rwl_sf.holds_read t.locks p.ctx w
-          || Rwl_sf.holds_write t.locks p.ctx w
-          || (Rwl_sf.try_or_wait_read_lock t.locks p.ctx w
-             && begin
-                  Util.Vec.push p.rlocks w;
-                  true
-                end)
-        then ignore (Cc_intf.read_work (Table.payload t.table rid))
-        else begin
-          p.abort_reason <- Obs.Events.Read_lock_conflict;
-          ok := false
-        end
-    | Ycsb.Write ->
-        let held = Rwl_sf.holds_write t.locks p.ctx w in
-        if held || Rwl_sf.try_or_wait_write_lock t.locks p.ctx w then begin
-          if not held then Util.Vec.push p.wlocks w;
-          let payload = Table.payload t.table rid in
-          Util.Vec.push p.undo (rid, Bytes.copy payload);
-          (match t.wal with Some w -> Wal.mark_dirty w ~rid | None -> ());
-          Cc_intf.write_work payload
-        end
-        else begin
-          p.abort_reason <-
-            (if p.ctx.preempted then Obs.Events.Priority_preemption
-             else Obs.Events.Write_lock_conflict);
-          ok := false
-        end);
-    incr i
-  done;
-  if !ok then begin
-    commit_locked t p;
-    true
-  end
-  else begin
-    rollback t p;
-    false
-  end
+        Sf_txn.read_lock p rid;
+        ignore (Cc_intf.read_work (Table.payload t.table rid))
+    | Ycsb.Write -> Cc_intf.write_work (lock_for_write t p rid)
+  done
 
 let execute t ~tid txn =
   (* Read-only degradation gate: refuse write transactions before any
@@ -191,112 +180,24 @@ let execute t ~tid txn =
   | Some reason when Array.exists (fun o -> o = Ycsb.Write) txn.Ycsb.ops ->
       readonly_fail t reason
   | _ -> ());
-  let p = t.threads.(tid) in
-  let aborts = ref 0 in
-  let telemetry = !Obs.Telemetry.on in
-  if not telemetry then begin
-    while not (attempt t p txn) do
-      incr aborts;
-      Rwl_sf.wait_for_conflictor t.locks p.ctx
-    done;
-    !aborts
-  end
-  else begin
-    let txn_t0 = Obs.Telemetry.now_ns () in
-    let att_t0 = ref txn_t0 in
-    while
-      not
-        (let ok =
-           try attempt t p txn
-           with Stm_intf.Degraded_read_only _ as e ->
-             (* terminal abort: count it before the raise escapes *)
-             Obs.Scope.txn_abort obs ~tid ~att_t0_ns:!att_t0 p.abort_reason;
-             raise e
-         in
-         if not ok then
-           Obs.Scope.txn_abort obs ~tid ~att_t0_ns:!att_t0 p.abort_reason;
-         ok)
-    do
-      incr aborts;
-      Rwl_sf.wait_for_conflictor t.locks p.ctx;
-      att_t0 := Obs.Telemetry.now_ns ()
-    done;
-    Obs.Scope.txn_commit obs ~tid ~txn_t0_ns:txn_t0 ~att_t0_ns:!att_t0 ();
-    !aborts
-  end
+  run t ~tid ycsb txn
 
 (* Conserved-transfer transaction for the crash soak (DESIGN.md §15):
    move [amount] from one row's balance to another's under the same
    lock/undo/commit machinery as the YCSB path, so the WAL hooks cover
    it identically and the row-balance sum is a recovery invariant. *)
-
-let attempt_transfer t p ~src_rid ~dst_rid ~amount =
-  Util.Vec.clear p.rlocks;
-  Util.Vec.clear p.wlocks;
-  Util.Vec.clear p.undo;
-  let write rid =
-    let w = Rwl_sf.lock_index t.locks rid in
-    let held = Rwl_sf.holds_write t.locks p.ctx w in
-    if held || Rwl_sf.try_or_wait_write_lock t.locks p.ctx w then begin
-      if not held then Util.Vec.push p.wlocks w;
-      Util.Vec.push p.undo (rid, Bytes.copy (Table.payload t.table rid));
-      (match t.wal with Some wal -> Wal.mark_dirty wal ~rid | None -> ());
-      true
-    end
-    else begin
-      p.abort_reason <-
-        (if p.ctx.preempted then Obs.Events.Priority_preemption
-         else Obs.Events.Write_lock_conflict);
-      false
-    end
-  in
-  if write src_rid && (src_rid = dst_rid || write dst_rid) then begin
-    Table.set_balance t.table src_rid (Table.balance t.table src_rid - amount);
-    Table.set_balance t.table dst_rid (Table.balance t.table dst_rid + amount);
-    commit_locked t p;
-    true
-  end
-  else begin
-    rollback t p;
-    false
-  end
+let transfer t p (src_rid, dst_rid, amount) =
+  ignore (lock_for_write t p src_rid);
+  if dst_rid <> src_rid then ignore (lock_for_write t p dst_rid);
+  Table.set_balance t.table src_rid (Table.balance t.table src_rid - amount);
+  Table.set_balance t.table dst_rid (Table.balance t.table dst_rid + amount)
 
 let execute_transfer t ~tid ~src ~dst ~amount =
   (match Atomic.get t.degraded with
   | Some reason -> readonly_fail t reason
   | None -> ());
-  let p = t.threads.(tid) in
   let src_rid = Table.lookup t.table src and dst_rid = Table.lookup t.table dst in
-  let aborts = ref 0 in
-  if not !Obs.Telemetry.on then begin
-    while not (attempt_transfer t p ~src_rid ~dst_rid ~amount) do
-      incr aborts;
-      Rwl_sf.wait_for_conflictor t.locks p.ctx
-    done;
-    !aborts
-  end
-  else begin
-    let txn_t0 = Obs.Telemetry.now_ns () in
-    let att_t0 = ref txn_t0 in
-    while
-      not
-        (let ok =
-           try attempt_transfer t p ~src_rid ~dst_rid ~amount
-           with Stm_intf.Degraded_read_only _ as e ->
-             Obs.Scope.txn_abort obs ~tid ~att_t0_ns:!att_t0 p.abort_reason;
-             raise e
-         in
-         if not ok then
-           Obs.Scope.txn_abort obs ~tid ~att_t0_ns:!att_t0 p.abort_reason;
-         ok)
-    do
-      incr aborts;
-      Rwl_sf.wait_for_conflictor t.locks p.ctx;
-      att_t0 := Obs.Telemetry.now_ns ()
-    done;
-    Obs.Scope.txn_commit obs ~tid ~txn_t0_ns:txn_t0 ~att_t0_ns:!att_t0 ();
-    !aborts
-  end
+  run t ~tid transfer (src_rid, dst_rid, amount)
 
 (* The table as a WAL store: rows are the live payload bytes, so the
    commit record's after-images need no extra copy. *)

@@ -10,16 +10,12 @@ let get t =
   match Atomic.get t.cell with
   | Some v -> v
   | None ->
-      Mutex.lock t.mutex;
-      let v =
-        match Atomic.get t.cell with
-        | Some v -> v
-        | None ->
-            let v = t.thunk () in
-            Atomic.set t.cell (Some v);
-            v
-      in
-      Mutex.unlock t.mutex;
-      v
+      Mutex.protect t.mutex (fun () ->
+          match Atomic.get t.cell with
+          | Some v -> v
+          | None ->
+              let v = t.thunk () in
+              Atomic.set t.cell (Some v);
+              v)
 
 let is_forced t = Atomic.get t.cell <> None

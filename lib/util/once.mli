@@ -8,6 +8,8 @@ type 'a t
 
 val create : (unit -> 'a) -> 'a t
 val get : 'a t -> 'a
-(** First caller runs the thunk; concurrent callers wait for it. *)
+(** First caller runs the thunk; concurrent callers wait for it.  A thunk
+    that raises leaves the cell unforced: the exception reaches the caller
+    and the next [get] runs the thunk again. *)
 
 val is_forced : 'a t -> bool

@@ -194,27 +194,19 @@ end
 
 module P = Twoplsf.Stm
 
-let test_bounded_restarts () =
-  (* Adversarial pairwise conflicts: every transaction writes the same 8
-     counters, two threads in opposite orders (Figure 9's scheme).  §2.2:
-     a transaction restarts at most N_threads - 1 times. *)
-  let threads = 4 in
-  let counters = Array.init 8 (fun _ -> P.tvar 0) in
-  P.reset_stats ();
+(* Adversarial pairwise conflicts (Figure 9's scheme): every transaction
+   writes the same 8 counters, threads alternating opposite orders.  §2.2:
+   a transaction restarts at most N_threads - 1 times.  [txn i] runs one
+   transaction for thread [i] and returns how many times it restarted. *)
+let restart_threads = 4
+let restart_iters = 2000
+
+let check_restart_bound txn =
   let max_restarts = Atomic.make 0 in
   ignore
-    (Harness.Exec.run_each ~threads (fun i ->
-         for _ = 1 to 150 do
-           P.atomic (fun tx ->
-               if i land 1 = 0 then
-                 for j = 0 to 7 do
-                   P.write tx counters.(j) (P.read tx counters.(j) + 1)
-                 done
-               else
-                 for j = 7 downto 0 do
-                   P.write tx counters.(j) (P.read tx counters.(j) + 1)
-                 done);
-           let r = P.last_restarts () in
+    (Harness.Exec.run_each ~threads:restart_threads (fun i ->
+         for _ = 1 to restart_iters do
+           let r = txn i in
            let rec bump () =
              let cur = Atomic.get max_restarts in
              if r > cur && not (Atomic.compare_and_set max_restarts cur r) then
@@ -222,16 +214,52 @@ let test_bounded_restarts () =
            in
            bump ()
          done));
-  let bound = threads - 1 in
+  let bound = restart_threads - 1 in
   let worst = Atomic.get max_restarts in
   if worst > bound then
-    Alcotest.failf "starvation bound violated: %d restarts > %d" worst bound;
+    Alcotest.failf "starvation bound violated: %d restarts > %d" worst bound
+
+let total_txns = restart_threads * restart_iters
+
+let stm_restart_bound (module S : Stm_intf.STM) () =
+  let counters = Array.init 8 (fun _ -> S.tvar 0) in
+  S.reset_stats ();
+  check_restart_bound (fun i ->
+      S.atomic (fun tx ->
+          if i land 1 = 0 then
+            for j = 0 to 7 do
+              S.write tx counters.(j) (S.read tx counters.(j) + 1)
+            done
+          else
+            for j = 7 downto 0 do
+              S.write tx counters.(j) (S.read tx counters.(j) + 1)
+            done);
+      S.last_restarts ());
   (* All counters saw every increment exactly once. *)
-  let v0 = P.atomic (fun tx -> P.read tx counters.(0)) in
-  check Alcotest.int "counter total" (threads * 150) v0;
+  let v0 = S.atomic (fun tx -> S.read tx counters.(0)) in
+  check Alcotest.int "counter total" total_txns v0;
   Array.iter
-    (fun c -> check Alcotest.int "uniform" v0 (P.atomic (fun tx -> P.read tx c)))
+    (fun c -> check Alcotest.int "uniform" v0 (S.atomic (fun tx -> S.read tx c)))
     counters
+
+(* The same scheme over DBx rows, counting the aborts [execute] returns. *)
+let dbx_restart_bound () =
+  let table = Dbx.Table.create ~num_rows:8 in
+  let cc = Dbx.Cc_2plsf.create table in
+  let byte0 rid = Char.code (Bytes.get (Dbx.Table.payload table rid) 0) in
+  let before = Array.init 8 byte0 in
+  let ops = Array.make 8 Dbx.Ycsb.Write in
+  let up = { Dbx.Ycsb.keys = Array.init 8 Fun.id; ops }
+  and down = { Dbx.Ycsb.keys = Array.init 8 (fun j -> 7 - j); ops } in
+  check_restart_bound (fun i ->
+      Dbx.Cc_2plsf.execute cc ~tid:(Util.Tid.get ())
+        (if i land 1 = 0 then up else down));
+  Array.iteri
+    (fun rid b ->
+      check Alcotest.int "every write applied once"
+        ((b + total_txns) land 0xFF)
+        (byte0 rid))
+    before
 
 let test_restart_histogram_support () =
   (* After the bounded-restart run above the histogram's support must be
@@ -295,7 +323,14 @@ let () =
     @ [
         ( "2PLSF starvation-freedom",
           [
-            Alcotest.test_case "restart bound N-1" `Quick test_bounded_restarts;
+            Alcotest.test_case "restart bound N-1" `Quick
+              (stm_restart_bound (module P));
+            Alcotest.test_case "restart bound N-1 (2PLSF-WB)" `Quick
+              (stm_restart_bound (module Twoplsf.Stm_wb));
+            Alcotest.test_case "restart bound N-1 (2PLSF-WBD)" `Quick
+              (stm_restart_bound (module Twoplsf.Stm_wbd));
+            Alcotest.test_case "restart bound N-1 (DBx-2PLSF)" `Quick
+              dbx_restart_bound;
             Alcotest.test_case "restart histogram support" `Quick
               test_restart_histogram_support;
             Alcotest.test_case "irrevocable RO under writers" `Quick

@@ -160,6 +160,38 @@ let cc_upgrade_paths (name, cc) =
   in
   Alcotest.test_case (name ^ " upgrade paths") `Quick test
 
+(* Regression: an exception escaping [execute] other than a restart (here
+   [Not_found] from the index probe of key 999) must roll the written row
+   back and release its lock, or every later writer of that row blocks. *)
+let test_2plsf_exception_cleanup () =
+  let table = Dbx.Table.create ~num_rows:16 in
+  let cc = Dbx.Cc_2plsf.create table in
+  let byte0 () = Bytes.get (Dbx.Table.payload table (Dbx.Table.lookup table 0)) 0 in
+  let prefill = byte0 () in
+  let w = Dbx.Ycsb.Write in
+  Alcotest.check_raises "index miss escapes" Not_found (fun () ->
+      ignore
+        (Dbx.Cc_2plsf.execute cc ~tid:(Util.Tid.get ())
+           { Dbx.Ycsb.keys = [| 0; 999 |]; ops = [| w; w |] }));
+  check Alcotest.char "row 0 rolled back" prefill (byte0 ());
+  let committed = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        ignore (Util.Tid.register ());
+        ignore
+          (Dbx.Cc_2plsf.execute cc ~tid:(Util.Tid.get ())
+             { Dbx.Ycsb.keys = [| 0 |]; ops = [| w |] });
+        Atomic.set committed true;
+        Util.Tid.release ())
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while (not (Atomic.get committed)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get committed) then
+    Alcotest.fail "row 0 still locked: a second writer did not commit in 2 s";
+  Domain.join writer
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "dbx"
@@ -183,4 +215,9 @@ let () =
       ("cc upgrade paths", List.map cc_upgrade_paths Dbx.Runner.ccs);
       ("cc concurrent", List.map cc_concurrent Dbx.Runner.ccs);
       ("cc high contention", List.map cc_high_contention Dbx.Runner.ccs);
+      ( "2plsf cleanup",
+        [
+          Alcotest.test_case "exception releases row locks" `Quick
+            test_2plsf_exception_cleanup;
+        ] );
     ]

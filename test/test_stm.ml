@@ -215,6 +215,18 @@ let test_configure_after_build_fails () =
     (Failure "Twoplsf.Stm.configure: lock table already built") (fun () ->
       P.configure ~num_locks:1024 ())
 
+(* Runs before any 2PLSF transaction builds the table.  Regression: an
+   invalid size used to be accepted, then broke the first transaction and
+   left the table unconfigurable. *)
+let test_configure_invalid_size () =
+  Alcotest.check_raises "not a power of two"
+    (Invalid_argument
+       "Twoplsf.Stm.configure: num_locks must be a power of two >= 32")
+    (fun () -> P.configure ~num_locks:100 ());
+  P.configure ();
+  check Alcotest.int "default size built" 65536
+    (Twoplsf.Rwl_sf.num_locks (P.lock_table ()))
+
 let battery_of (module S : Stm_intf.STM) =
   let module B = Battery (S) in
   (S.name, B.cases)
@@ -223,7 +235,14 @@ let () =
   ignore (Util.Tid.register ());
   let batteries = List.map battery_of Baselines.Registry.all in
   Alcotest.run "stm"
-    (batteries
+    ([
+       ( "2PLSF configure",
+         [
+           Alcotest.test_case "invalid size rejected" `Quick
+             test_configure_invalid_size;
+         ] );
+     ]
+    @ batteries
     @ [
         ( "clock discipline",
           List.map clock_discipline_case Baselines.Registry.all );

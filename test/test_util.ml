@@ -226,6 +226,21 @@ let test_once_concurrent_force () =
   check Alcotest.int "thunk ran once" 1 (Atomic.get count);
   List.iter (fun v -> check Alcotest.int "same value" 1 v) values
 
+let test_once_raising_thunk () =
+  (* Regression: a raising thunk used to leave the mutex locked, so the
+     next [get] failed with a mutex error instead of retrying. *)
+  let calls = ref 0 in
+  let o =
+    Util.Once.create (fun () ->
+        incr calls;
+        if !calls = 1 then invalid_arg "first" else 7)
+  in
+  Alcotest.check_raises "thunk's own exception" (Invalid_argument "first")
+    (fun () -> ignore (Util.Once.get o));
+  check Alcotest.bool "still unforced" false (Util.Once.is_forced o);
+  check Alcotest.int "second get reruns the thunk" 7 (Util.Once.get o);
+  check Alcotest.int "thunk ran twice" 2 !calls
+
 (* ---- Backoff (sanity only: it must terminate and not raise) ---- *)
 
 let test_backoff_runs () =
@@ -327,6 +342,7 @@ let () =
           Alcotest.test_case "single domain" `Quick test_once_single;
           Alcotest.test_case "concurrent force" `Quick
             test_once_concurrent_force;
+          Alcotest.test_case "raising thunk" `Quick test_once_raising_thunk;
         ] );
       ("backoff", [ Alcotest.test_case "runs" `Quick test_backoff_runs ]);
     ]
