@@ -22,15 +22,6 @@ type ctx = {
 let deadline_blown ctx =
   ctx.deadline_ns <> 0 && Obs.Telemetry.now_ns () > ctx.deadline_ns
 
-type tx = {
-  ctx : ctx;
-  rset : int Util.Vec.t;
-  wlocks : int Util.Vec.t;
-  undo : Wset.t;
-  loop : Txn_loop.state;
-  mutable abort_reason : Obs.Events.abort_reason;
-}
-
 type table = {
   mask : int;
   wlocks : int Atomic.t array; (* 0 = free, tid+1 = writer *)
@@ -40,6 +31,18 @@ type table = {
       (* 0 = not wounded, wounder tid + 1 otherwise: the provenance edge
          "who wounded whom" that plain wound-wait never records *)
   clock : int Atomic.t;
+}
+
+type tx = {
+  t : table; (* looked up once, when the descriptor is made *)
+  ctx : ctx;
+  rwords : int Util.Vec.t;
+      (* the read set: one lock index per indicator word a read made
+         non-empty; [release] clears each such word in one store *)
+  wlocks : int Util.Vec.t;
+  undo : Wset.t;
+  loop : Txn_loop.state;
+  mutable abort_reason : Obs.Events.abort_reason;
 }
 
 let requested_num_locks = ref 65536
@@ -71,6 +74,7 @@ let tx_key =
   Domain.DLS.new_key (fun () ->
       let tid = Util.Tid.get () in
       {
+        t = Util.Once.get table;
         ctx =
           {
             tid;
@@ -80,7 +84,7 @@ let tx_key =
             o_tid = -1;
             o_lock = -1;
           };
-        rset = Util.Vec.create ~dummy:(-1) ();
+        rwords = Util.Vec.create ~dummy:(-1) ();
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
         loop = Txn_loop.make_state ~tid;
@@ -108,7 +112,7 @@ let am_wounded t ctx =
 (* Older (lower-ts) requesters wound the conflicting owner(s) and wait;
    younger ones just wait.  A wounded transaction notices at its next
    acquisition attempt and restarts. *)
-let acquire_read t ctx w =
+let acquire_read (t : table) ctx w =
   let telemetry = !Obs.Telemetry.on in
   let t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
   let b = Util.Backoff.create () in
@@ -155,7 +159,7 @@ let acquire_read t ctx w =
   in
   loop ()
 
-let acquire_write t ctx w =
+let acquire_write (t : table) ctx w =
   let me = ctx.tid + 1 in
   if Atomic.get t.wlocks.(w) = me then true
   else begin
@@ -218,14 +222,15 @@ let acquire_write t ctx w =
   end
 
 let read tx (tv : 'a tvar) : 'a =
-  let t = Util.Once.get table in
+  let t = tx.t in
   let w = tv.id land t.mask in
+  let prior = Rwlock.Read_indicator.get_word t.ri ~tid:tx.ctx.tid w in
   if
-    Rwlock.Read_indicator.holds t.ri ~tid:tx.ctx.tid w
+    prior land Rwlock.Read_indicator.bit w <> 0
     || Atomic.get t.wlocks.(w) = tx.ctx.tid + 1
   then tv.v (* re-read under a lock we already hold *)
   else if acquire_read t tx.ctx w then begin
-    Util.Vec.push tx.rset w;
+    if prior = 0 then Util.Vec.push tx.rwords w;
     tv.v
   end
   else begin
@@ -236,7 +241,7 @@ let read tx (tv : 'a tvar) : 'a =
   end
 
 let write tx tv nv =
-  let t = Util.Once.get table in
+  let t = tx.t in
   let w = tv.id land t.mask in
   let held = Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 in
   if held || acquire_write t tx.ctx w then begin
@@ -251,20 +256,22 @@ let write tx tv nv =
     raise Txn_loop.Restart
   end
 
-let release t tx =
+let release tx =
+  let t = tx.t in
   Util.Vec.iter
     (fun w -> if Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 then Atomic.set t.wlocks.(w) 0)
     tx.wlocks;
   Util.Vec.iter
-    (fun w -> Rwlock.Read_indicator.depart t.ri ~tid:tx.ctx.tid w)
-    tx.rset
+    (fun w -> Rwlock.Read_indicator.depart_word t.ri ~tid:tx.ctx.tid w)
+    tx.rwords
 
-let rollback t tx =
+let rollback tx =
   Wset.rollback tx.undo;
-  release t tx
+  release tx
 
-let begin_attempt t tx =
-  Util.Vec.clear tx.rset;
+let begin_attempt tx =
+  let t = tx.t in
+  Util.Vec.clear tx.rwords;
   Util.Vec.clear tx.wlocks;
   Wset.clear tx.undo;
   Atomic.set t.wounded.(tx.ctx.tid) 0;
@@ -278,7 +285,8 @@ let begin_attempt t tx =
     Atomic.set t.announce.(tx.ctx.tid) tx.ctx.my_ts
   end
 
-let finish t tx =
+let finish tx =
+  let t = tx.t in
   tx.ctx.my_ts <- 0;
   Atomic.set t.announce.(tx.ctx.tid) 0;
   Atomic.set t.wounded.(tx.ctx.tid) 0
@@ -291,21 +299,20 @@ include Txn_loop.Make (struct
   let scope = Some obs
   let get_tx = get_tx
   let state tx = tx.loop
-  let begin_attempt tx ~read_only:_ = begin_attempt (Util.Once.get table) tx
+  let begin_attempt tx ~read_only:_ = begin_attempt tx
 
   (* A wound that arrives after the last acquisition is too late: the
      transaction has all its locks and commits (standard wound-wait:
      finished transactions are not aborted). *)
   let commit tx =
-    let t = Util.Once.get table in
-    release t tx;
-    finish t tx
+    release tx;
+    finish tx
 
-  let rollback tx = rollback (Util.Once.get table) tx
+  let rollback = rollback
 
   let cleanup tx =
     rollback tx;
-    finish (Util.Once.get table) tx
+    finish tx
 
   let provenance tx = (tx.ctx.o_tid, tx.ctx.o_lock, tx.abort_reason)
 
@@ -315,7 +322,7 @@ include Txn_loop.Make (struct
 
   (* Retire the timestamp before bailing out so younger transactions stop
      wounding themselves against it. *)
-  let pre_raise tx = finish (Util.Once.get table) tx
+  let pre_raise = finish
   let escalate = Txn_loop.Fallback_hooks.escalate
   let deescalate = Txn_loop.Fallback_hooks.deescalate
   let set_deadline tx d = tx.ctx.deadline_ns <- d

@@ -194,73 +194,101 @@ let spurious_fail ctx =
   ctx.preempted <- false;
   false
 
-let try_or_wait_read_lock t ctx w =
+let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
+
+(* The wait half of a read acquisition (Algorithm 2, lines 57-69): the
+   caller has arrived on lock [w] and then seen its write word held by
+   another thread. *)
+let read_wait t ctx w =
+  let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
+  take_timestamp t ctx;
+  let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
+  if watch then
+    Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.read_wait
+      ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
+      ~observed:(-1);
+  let b = Util.Backoff.create () in
+  let spins = ref 0 in
+  let finish acquired =
+    if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
+    (if !Obs.Telemetry.on then
+       match t.obs with
+       | Some sc ->
+           Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:false ~t0_ns:t0
+             ~spins:!spins ~acquired
+       | None -> ());
+    acquired
+  in
+  let rec loop () =
+    if Atomic.get t.wlocks.(w) = 0 then finish true
+    else begin
+      let ots = ts_of_wlock t ctx w in
+      if watch && ctx.o_tid >= 0 then
+        Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
+      if ots < my_effective_ts ctx then begin
+        (* A higher-priority writer owns the lock: restart. *)
+        Read_indicator.depart t.ri ~tid:ctx.tid w;
+        ctx.preempted <- false;
+        finish false
+      end
+      else if deadline_blown ctx then begin
+        Read_indicator.depart t.ri ~tid:ctx.tid w;
+        ctx.preempted <- false;
+        ctx.deadline_hit <- true;
+        (* Provenance: pin the deadline abort on the lock we starved on
+           (the conflictor, if any, was recorded by ts_of_wlock). *)
+        ctx.o_lock <- w;
+        finish false
+      end
+      else begin
+        incr spins;
+        if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
+        Util.Backoff.once b;
+        loop ()
+      end
+    end
+  in
+  loop ()
+
+(* The fast half of a read acquisition (Algorithm 2, lines 51-56): arrive
+   by storing [prior lor bit] into the caller's own indicator word, whose
+   current value the caller read as [prior], then re-load the write word
+   (the Dekker check); on contention, wait. *)
+let arrive_read t ctx w ~prior =
   if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then spurious_fail ctx
   else begin
-  if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
-  Read_indicator.arrive t.ri ~tid:ctx.tid w;
-  if !Chaos.on then Chaos.point Chaos.Read_lock_check;
-  let ws = Atomic.get t.wlocks.(w) in
-  if ws = 0 || ws = ctx.tid + 1 then begin
-    if !Obs.Telemetry.on then begin
-      match t.obs with
-      | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
-      | None -> ()
-    end;
-    true
-  end
-  else begin
-    let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
-    take_timestamp t ctx;
-    let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
-    if watch then
-      Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.read_wait
-        ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
-        ~observed:(-1);
-    let b = Util.Backoff.create () in
-    let spins = ref 0 in
-    let finish acquired =
-      if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
+    if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
+    Read_indicator.arrive_from t.ri ~tid:ctx.tid ~prior w;
+    if !Chaos.on then Chaos.point Chaos.Read_lock_check;
+    let ws = Atomic.get t.wlocks.(w) in
+    if ws = 0 || ws = ctx.tid + 1 then begin
       (if !Obs.Telemetry.on then
          match t.obs with
-         | Some sc ->
-             Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:false
-               ~t0_ns:t0 ~spins:!spins ~acquired
+         | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
          | None -> ());
-      acquired
-    in
-    let rec loop () =
-      if Atomic.get t.wlocks.(w) = 0 then finish true
-      else begin
-        let ots = ts_of_wlock t ctx w in
-        if watch && ctx.o_tid >= 0 then
-          Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
-        if ots < my_effective_ts ctx then begin
-          (* A higher-priority writer owns the lock: restart. *)
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          ctx.preempted <- false;
-          finish false
-        end
-        else if deadline_blown ctx then begin
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          ctx.preempted <- false;
-          ctx.deadline_hit <- true;
-          (* Provenance: pin the deadline abort on the lock we starved on
-             (the conflictor, if any, was recorded by ts_of_wlock). *)
-          ctx.o_lock <- w;
-          finish false
-        end
-        else begin
-          incr spins;
-          if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
-          Util.Backoff.once b;
-          loop ()
-        end
-      end
-    in
-    loop ()
+      true
+    end
+    else read_wait t ctx w
   end
-  end
+
+let try_or_wait_read_lock t ctx w =
+  arrive_read t ctx w ~prior:(Read_indicator.get_word t.ri ~tid:ctx.tid w)
+
+type read_outcome = Read_held | Read_first | Read_failed
+
+(* "Already held" fused into the acquisition: the load of the caller's own
+   word that arrive needs anyway answers "held for reading", and the write
+   word answers "held for writing", so the uncontended acquisition costs
+   one fence.  Both loads come before the chaos points and touch nothing
+   another thread writes (our own word, and a write word that only we set
+   to our id), so the scheduler's sync points are the arrive/check pair of
+   arrive_read, with or without chaos. *)
+let acquire_read t ctx w =
+  let prior = Read_indicator.get_word t.ri ~tid:ctx.tid w in
+  if prior land Read_indicator.bit w <> 0 || holds_write t ctx w then Read_held
+  else if not (arrive_read t ctx w ~prior) then Read_failed
+  else if prior = 0 then Read_first
+  else Read_held
 
 let try_or_wait_write_lock t ctx w =
   let me = ctx.tid + 1 in
@@ -353,12 +381,12 @@ let try_or_wait_write_lock t ctx w =
   end
 
 let read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
+let release_read_word t ctx w = Read_indicator.depart_word t.ri ~tid:ctx.tid w
 let write_unlock t ctx w =
   ignore ctx;
   Atomic.set t.wlocks.(w) 0
 
 let holds_read t ctx w = Read_indicator.holds t.ri ~tid:ctx.tid w
-let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
 
 let wait_for_conflictor t ctx =
   let otid = ctx.o_tid and ots = ctx.o_ts in

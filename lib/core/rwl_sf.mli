@@ -91,6 +91,25 @@ val try_or_wait_read_lock : t -> ctx -> int -> bool
     means: a lower-timestamp writer owns the lock; the caller must restart
     ([ctx.o_tid]/[ctx.o_ts] identify whom to wait for before retrying). *)
 
+type read_outcome =
+  | Read_held
+      (** held now, and nothing new to log: the lock was already held by
+          this thread (for reading or writing), or its indicator word was
+          already non-empty *)
+  | Read_first  (** acquired, and it made its indicator word non-empty *)
+  | Read_failed
+      (** as {!try_or_wait_read_lock} returning [false]; the indicator
+          word is back to its prior value *)
+
+val acquire_read : t -> ctx -> int -> read_outcome
+(** The transactional read acquisition: "already held" fused into
+    {!try_or_wait_read_lock}.  One load of the caller's own indicator word
+    tests the lock's bit, one load of the write word tests "held for
+    writing" (then no bit is set); a new lock is taken through the same
+    arrive, Dekker re-check and wait loop as {!try_or_wait_read_lock}.  A
+    caller that logs [w] on [Read_first] alone holds one entry per
+    non-empty word, and releases them all with {!release_read_word}. *)
+
 val try_or_wait_write_lock : t -> ctx -> int -> bool
 (** Acquire the write side of lock [w] (lines 76–106), upgrading a read
     lock held by this thread if any.  Re-entrant: returns [true]
@@ -99,6 +118,10 @@ val try_or_wait_write_lock : t -> ctx -> int -> bool
 
 val read_unlock : t -> ctx -> int -> unit
 (** Release the read side (clear this thread's indicator bit). *)
+
+val release_read_word : t -> ctx -> int -> unit
+(** Release every read lock of this thread whose bit shares lock [w]'s
+    indicator word, with one store of 0 (none if the word is already 0). *)
 
 val write_unlock : t -> ctx -> int -> unit
 (** Release the write side (store UNLOCKED). *)

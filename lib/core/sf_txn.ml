@@ -2,8 +2,9 @@
 
    Every 2PLSF client — the undo-log STM, the redo-log family, the
    wait-or-die ablation and the DBx row engine — takes its locks through
-   tryOrWait*Lock, logs their indices, releases them at commit or abort,
-   clears its announcement and waits for the conflictor before retrying.
+   tryOrWait*Lock, logs them (write locks by index, read locks by
+   indicator word), releases them at commit or abort, clears its
+   announcement and waits for the conflictor before retrying.
    Only the storage log differs, so it rides in the ['log] field and the
    lock-set fields stay one load away from the client's descriptor. *)
 
@@ -51,7 +52,7 @@ let leaked_locks tbl =
 type 'log t = {
   locks : Rwl_sf.t;
   ctx : Rwl_sf.ctx;
-  rlocks : int Util.Vec.t;
+  rwords : int Util.Vec.t;
   wlocks : int Util.Vec.t;
   loop : Txn_loop.state;
   mutable abort_reason : Obs.Events.abort_reason;
@@ -62,24 +63,26 @@ let make locks ~tid log =
   {
     locks;
     ctx = Rwl_sf.make_ctx ~tid;
-    rlocks = Util.Vec.create ~dummy:(-1) ();
+    rwords = Util.Vec.create ~dummy:(-1) ();
     wlocks = Util.Vec.create ~dummy:(-1) ();
     loop = Txn_loop.make_state ~tid;
     abort_reason = Obs.Events.User_restart;
     log;
   }
 
+(* The read set holds one lock index per indicator word a read made
+   non-empty: [release] clears each such word in one store. *)
 let read_lock tx id =
   let t = tx.locks in
   let w = Rwl_sf.lock_index t id in
-  if not (Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w) then
-    if Rwl_sf.try_or_wait_read_lock t tx.ctx w then Util.Vec.push tx.rlocks w
-    else begin
+  match Rwl_sf.acquire_read t tx.ctx w with
+  | Rwl_sf.Read_held -> ()
+  | Rwl_sf.Read_first -> Util.Vec.push tx.rwords w
+  | Rwl_sf.Read_failed ->
       tx.abort_reason <-
         (if tx.ctx.deadline_hit then Obs.Events.Deadline
          else Obs.Events.Read_lock_conflict);
       raise Txn_loop.Restart
-    end
 
 let write_lock tx id =
   let t = tx.locks in
@@ -95,14 +98,14 @@ let write_lock tx id =
     end
 
 let begin_attempt tx =
-  Util.Vec.clear tx.rlocks;
+  Util.Vec.clear tx.rwords;
   Util.Vec.clear tx.wlocks;
   tx.ctx.deadline_hit <- false;
   tx.abort_reason <- Obs.Events.User_restart
 
 let release tx =
   Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.locks tx.ctx w) tx.wlocks;
-  Util.Vec.iter (fun w -> Rwl_sf.read_unlock tx.locks tx.ctx w) tx.rlocks
+  Util.Vec.iter (fun w -> Rwl_sf.release_read_word tx.locks tx.ctx w) tx.rwords
 
 let clear_announcement tx = Rwl_sf.clear_announcement tx.locks tx.ctx
 

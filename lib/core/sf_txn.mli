@@ -3,9 +3,10 @@
     {!Stm_wb} and {!Stm_wbd} (redo log), the wait-or-die ablation and the
     DBx row engine (row pre-images).
 
-    Take each lock through [tryOrWait*Lock] and log its index; on failure
-    record why and restart; at commit or abort release every logged lock
-    and clear the announcement; wait for the conflictor before retrying.
+    Take each lock through [tryOrWait*Lock] and log it — a write lock by
+    its index, read locks by indicator word; on failure record why and
+    restart; at commit or abort release every logged lock and clear the
+    announcement; wait for the conflictor before retrying.
     A client keeps only its storage log, in the ['log] field. *)
 
 (** {2 The lock table} *)
@@ -37,7 +38,10 @@ val leaked_locks : table -> int
 type 'log t = {
   locks : Rwl_sf.t;
   ctx : Rwl_sf.ctx;
-  rlocks : int Util.Vec.t;  (** read-locked lock indices *)
+  rwords : int Util.Vec.t;
+      (** the read set: one lock index per indicator word of this thread
+          that a read made non-empty ({!Rwl_sf.Read_first}); {!release}
+          clears each such word in one store *)
   wlocks : int Util.Vec.t;  (** write-locked lock indices *)
   loop : Twoplsf_cm.Txn_loop.state;
   mutable abort_reason : Twoplsf_obs.Events.abort_reason;
@@ -61,7 +65,8 @@ val write_lock : _ t -> int -> unit
 
 val begin_attempt : _ t -> unit
 val release : _ t -> unit
-(** Release every logged lock, write locks first. *)
+(** Release every logged lock, write locks first, then every read lock
+    with one store per indicator word in [rwords]. *)
 
 val finish : _ t -> unit
 (** {!release}, then clear the announcement (Algorithm 1, lines 31–32). *)

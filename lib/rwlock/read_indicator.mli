@@ -5,8 +5,14 @@
     word [w / B] in thread [t]'s region says "thread [t] holds (or is
     waiting for, in the writer-arrives-as-reader case) the read side of
     lock [w]".  Because a word is only ever written by its owning thread,
-    {!arrive} and {!depart} are a plain atomic load + store — no
-    read-modify-write, which is the key to read scalability (§2.4).
+    {!arrive} and {!depart} are an atomic load plus an [Atomic.set] — no
+    compare-and-swap loop, which is the key to read scalability (§2.4).
+    OCaml atomics are sequentially consistent, so an [Atomic.set] is never
+    reordered with a later [Atomic.get] of another location; the
+    Dekker-style check of {!Rwl_sf} relies on exactly that.  (Cost note:
+    a sequentially consistent store is an [xchg] on x86-64, so each store
+    costs a full fence.)  The same ownership lets a thread depart from
+    every lock sharing a word in one store ({!depart_word}).
 
     Divergence from the paper: the paper packs 64 locks per word; OCaml
     ints are 63-bit so we pack {!bits_per_word} = 32 locks per word.  The
@@ -28,6 +34,25 @@ val arrive : t -> tid:int -> int -> unit
 
 val depart : t -> tid:int -> int -> unit
 (** Clear the calling thread's bit for lock [w].  Idempotent. *)
+
+val depart_word : t -> tid:int -> int -> unit
+(** Clear all of the calling thread's bits in the word holding lock [w]'s
+    bit: one store departs from every lock sharing that word.  No store
+    when the word is already 0. *)
+
+val bit : int -> int
+(** The mask of lock [w]'s bit within its word. *)
+
+val get_word : t -> tid:int -> int -> int
+(** The current value of thread [tid]'s word holding lock [w]'s bit (one
+    load).  A fused read acquire tests [get_word ... land bit w] for
+    "already held" and passes the value on to {!arrive_from}. *)
+
+val arrive_from : t -> tid:int -> prior:int -> int -> unit
+(** {!arrive} without the load: set thread [tid]'s bit for lock [w] in a
+    word whose current value the caller read as [prior] with {!get_word}.
+    Sound because only thread [tid] writes its words: the caller must be
+    thread [tid], with no store of its own between the two calls. *)
 
 val holds : t -> tid:int -> int -> bool
 (** Is [tid]'s bit for lock [w] set?  (Cheap: one load.) *)

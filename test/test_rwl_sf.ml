@@ -303,6 +303,171 @@ let test_take_timestamp_monotone () =
   L.take_timestamp t a;
   check Alcotest.int "idempotent" before a.my_ts
 
+(* ---- the transactional read path: Sf_txn over acquire_read ---- *)
+
+module S = Twoplsf.Sf_txn
+
+(* The calling thread's indicator word [k], rebuilt bit by bit. *)
+let own_word t c k =
+  let v = ref 0 in
+  for b = 0 to 31 do
+    if L.holds_read t c ((k * 32) + b) then v := !v lor (1 lsl b)
+  done;
+  !v
+
+let test_acquire_read_outcomes () =
+  let t = fresh () in
+  let c = L.make_ctx ~tid:0 in
+  let outcome =
+    Alcotest.testable
+      (fun f o ->
+        Format.pp_print_string f
+          (match o with
+          | L.Read_held -> "Read_held"
+          | L.Read_first -> "Read_first"
+          | L.Read_failed -> "Read_failed"))
+      ( = )
+  in
+  check outcome "first in word" L.Read_first (L.acquire_read t c 5);
+  check outcome "word already non-empty" L.Read_held (L.acquire_read t c 6);
+  check outcome "already read-held" L.Read_held (L.acquire_read t c 5);
+  ignore (L.try_or_wait_write_lock t c 40);
+  check outcome "already write-held" L.Read_held (L.acquire_read t c 40);
+  L.release_read_word t c 5;
+  check Alcotest.int "one store releases the word" 0 (own_word t c 0);
+  L.write_unlock t c 40;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* 100 consecutive locks span 4 indicator words: the read set holds one
+   entry per word, an upgrade midway adds none, and [finish] releases
+   every lock. *)
+let test_read_set_one_entry_per_word () =
+  let t = L.create ~num_locks:128 () in
+  let tx = S.make t ~tid:0 () in
+  S.begin_attempt tx;
+  for id = 10 to 109 do
+    S.read_lock tx id;
+    if id = 60 then S.write_lock tx id
+  done;
+  check (Alcotest.list Alcotest.int) "one entry per word" [ 0; 1; 2; 3 ]
+    (List.map (fun w -> w / 32) (Array.to_list (Util.Vec.to_array tx.rwords)));
+  check Alcotest.int "one write lock" 1 (Util.Vec.length tx.wlocks);
+  S.finish tx;
+  check (Alcotest.list Alcotest.int) "every word cleared" [ 0; 0; 0; 0 ]
+    (List.map (own_word t tx.ctx) [ 0; 1; 2; 3 ]);
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+let test_read_under_own_write_logs_nothing () =
+  let t = fresh () in
+  let tx = S.make t ~tid:0 () in
+  S.begin_attempt tx;
+  S.write_lock tx 5;
+  S.read_lock tx 5;
+  check Alcotest.bool "no read bit" false (L.holds_read t tx.ctx 5);
+  check Alcotest.int "word untouched" 0 (own_word t tx.ctx 0);
+  check Alcotest.int "nothing logged" 0 (Util.Vec.length tx.rwords);
+  S.finish tx;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* A higher-priority writer holds 5 and 40.  The reader's failed
+   acquisition restarts it with Read_lock_conflict and puts its word back:
+   word 0 keeps the bit of lock 4 it already held, word 1 goes back to 0,
+   and neither failure adds a read-set entry. *)
+let test_reader_restart_restores_word () =
+  let t = fresh () in
+  let holder = L.make_ctx ~tid:0 in
+  let tx = S.make t ~tid:1 () in
+  ignore (L.try_or_wait_write_lock t holder 5);
+  ignore (L.try_or_wait_write_lock t holder 40);
+  L.announce_priority t holder 3;
+  L.announce_priority t tx.ctx 7;
+  let restarts_on id =
+    match S.read_lock tx id with
+    | () -> Alcotest.failf "read of %d under a higher-priority writer" id
+    | exception Twoplsf_cm.Txn_loop.Restart ->
+        check Alcotest.bool "read-lock conflict" true
+          (tx.abort_reason = Twoplsf_obs.Events.Read_lock_conflict);
+        check Alcotest.int "conflictor recorded" 0 tx.ctx.o_tid
+  in
+  S.begin_attempt tx;
+  S.read_lock tx 4;
+  let prior = own_word t tx.ctx 0 in
+  restarts_on 5;
+  check Alcotest.int "non-empty word restored" prior (own_word t tx.ctx 0);
+  check Alcotest.int "one entry, for lock 4" 1 (Util.Vec.length tx.rwords);
+  S.release tx;
+  S.begin_attempt tx;
+  restarts_on 40;
+  check Alcotest.int "empty word restored" 0 (own_word t tx.ctx 1);
+  check Alcotest.int "nothing logged" 0 (Util.Vec.length tx.rwords);
+  S.finish tx;
+  L.write_unlock t holder 5;
+  L.write_unlock t holder 40;
+  L.clear_announcement t holder;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* Model test: random reads, writes and aborts over locks 0..95 (three
+   indicator words) by one thread.  After every step the held locks match
+   the model and every non-empty own word has exactly one read-set entry;
+   after [finish] every own word is 0 and no write word is held. *)
+type op = Read of int | Write of int | Abort
+
+let op_gen =
+  QCheck.Gen.(
+    map2
+      (fun k id -> match k with 0 | 1 -> Read id | 2 | 3 -> Write id | _ -> Abort)
+      (int_range 0 4) (int_range 0 95))
+
+let show_op = function
+  | Read id -> Printf.sprintf "R%d" id
+  | Write id -> Printf.sprintf "W%d" id
+  | Abort -> "A"
+
+let prop_read_set_words =
+  QCheck.Test.make ~name:"read set of words vs held-lock model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) op_gen))
+    (fun ops ->
+      let t = L.create ~num_locks:128 () in
+      let tx = S.make t ~tid:0 () in
+      let held = Array.make 96 false in
+      let holds id = L.holds_read t tx.ctx id || L.holds_write t tx.ctx id in
+      let consistent () =
+        let logged k =
+          Array.fold_left
+            (fun n w -> if w / 32 = k then n + 1 else n)
+            0 (Util.Vec.to_array tx.rwords)
+        in
+        Array.for_all Fun.id (Array.mapi (fun id h -> h = holds id) held)
+        && List.for_all
+             (fun k -> logged k = if own_word t tx.ctx k <> 0 then 1 else 0)
+             [ 0; 1; 2 ]
+      in
+      S.begin_attempt tx;
+      let ok =
+        List.for_all
+          (fun op ->
+            (match op with
+            | Read id ->
+                S.read_lock tx id;
+                held.(id) <- true
+            | Write id ->
+                S.write_lock tx id;
+                held.(id) <- true
+            | Abort ->
+                S.release tx;
+                S.begin_attempt tx;
+                Array.fill held 0 96 false);
+            consistent ())
+          ops
+      in
+      S.finish tx;
+      ok
+      && List.for_all (fun k -> own_word t tx.ctx k = 0) [ 0; 1; 2; 3 ]
+      && List.for_all (fun w -> not (L.holds_write t tx.ctx w)) (List.init 128 Fun.id)
+      && L.leaked t = 0)
+
 let () =
   Alcotest.run "rwl_sf"
     [
@@ -346,6 +511,18 @@ let () =
         [
           Alcotest.test_case "clear" `Quick test_clear_announcement;
           Alcotest.test_case "zero mutex" `Quick test_zero_mutex;
+        ] );
+      ( "transactional read path",
+        [
+          Alcotest.test_case "acquire_read outcomes" `Quick
+            test_acquire_read_outcomes;
+          Alcotest.test_case "read set: one entry per word" `Quick
+            test_read_set_one_entry_per_word;
+          Alcotest.test_case "read under own write logs nothing" `Quick
+            test_read_under_own_write_logs_nothing;
+          Alcotest.test_case "reader restart restores its word" `Quick
+            test_reader_restart_restores_word;
+          QCheck_alcotest.to_alcotest prop_read_set_words;
         ] );
       ( "stress",
         [

@@ -209,6 +209,36 @@ let test_restart_histogram_uncontended () =
   check Alcotest.int "all in bucket 0" (P.commits ()) h.(0);
   Array.iteri (fun i c -> if i > 0 && c <> 0 then Alcotest.fail "restarts") h
 
+(* ~100 consecutive tvars span at least 4 indicator words, and the read
+   set releases by word: after an upgrade midway, commit leaves no read bit
+   and no lock behind. *)
+let test_wide_read_set_releases_every_word () =
+  let module L = Twoplsf.Rwl_sf in
+  let tvs = Array.init 100 P.tvar in
+  let t = P.lock_table () in
+  let me = L.make_ctx ~tid:(Util.Tid.get ()) in
+  let held_words () =
+    let words = Hashtbl.create 8 in
+    for w = 0 to L.num_locks t - 1 do
+      if L.holds_read t me w then Hashtbl.replace words (w / 32) ()
+    done;
+    Hashtbl.length words
+  in
+  let words =
+    P.atomic (fun tx ->
+        Array.iteri
+          (fun i tv ->
+            let v = P.read tx tv in
+            if i = 50 then P.write tx tv (v + 1))
+          tvs;
+        held_words ())
+  in
+  check Alcotest.bool "spans at least 4 words" true (words >= 4);
+  check Alcotest.int "no leaked locks" 0 (P.leaked_locks ());
+  check Alcotest.int "no read bit left" 0 (held_words ());
+  check Alcotest.int "upgrade committed" 51
+    (P.atomic (fun tx -> P.read tx tvs.(50)))
+
 let test_configure_after_build_fails () =
   ignore (P.lock_table ());
   Alcotest.check_raises "too late"
@@ -261,5 +291,7 @@ let () =
               test_restart_histogram_uncontended;
             Alcotest.test_case "configure after build" `Quick
               test_configure_after_build_fails;
+            Alcotest.test_case "wide read set releases every word" `Quick
+              test_wide_read_set_releases_every_word;
           ] );
       ])
