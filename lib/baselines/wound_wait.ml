@@ -221,12 +221,18 @@ let acquire_write (t : table) ctx w =
     loop ()
   end
 
+(* This thread's indicator word holding lock [w]'s bit, indexed directly
+   (layout and owner-only-write rule in read_indicator.mli). *)
+let[@inline] own_word (t : table) ctx w =
+  let ri = t.ri in
+  ri.Rwlock.Read_indicator.words.((ctx.tid * ri.words_per_thread) + (w lsr 5))
+
 let read tx (tv : 'a tvar) : 'a =
   let t = tx.t in
   let w = tv.id land t.mask in
-  let prior = Rwlock.Read_indicator.get_word t.ri ~tid:tx.ctx.tid w in
+  let prior = Atomic.get (own_word t tx.ctx w) in
   if
-    prior land Rwlock.Read_indicator.bit w <> 0
+    prior land (1 lsl (w land 31)) <> 0
     || Atomic.get t.wlocks.(w) = tx.ctx.tid + 1
   then tv.v (* re-read under a lock we already hold *)
   else if acquire_read t tx.ctx w then begin
@@ -262,7 +268,9 @@ let release tx =
     (fun w -> if Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 then Atomic.set t.wlocks.(w) 0)
     tx.wlocks;
   Util.Vec.iter
-    (fun w -> Rwlock.Read_indicator.depart_word t.ri ~tid:tx.ctx.tid w)
+    (fun w ->
+      let cell = own_word t tx.ctx w in
+      if Atomic.get cell <> 0 then Atomic.set cell 0)
     tx.rwords
 
 let rollback tx =

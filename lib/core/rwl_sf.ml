@@ -142,12 +142,17 @@ let announce_priority t ctx ts =
   ctx.my_ts <- ts;
   Atomic.set t.announce.(ctx.tid) ts
 
+(* Only the owner writes [announce.(tid)], and it stores a non-zero value
+   only after making [my_ts] non-zero, so [my_ts = 0] means the slot
+   already reads 0: an uncontended commit skips the SC store. *)
 let clear_announcement t ctx =
-  ctx.my_ts <- 0;
   ctx.o_tid <- -1;
   ctx.o_ts <- 0;
   ctx.o_lock <- -1;
-  Atomic.set t.announce.(ctx.tid) 0
+  if ctx.my_ts <> 0 then begin
+    ctx.my_ts <- 0;
+    Atomic.set t.announce.(ctx.tid) 0
+  end
 
 (* Effective timestamp of the current write-lock holder (+inf if the lock
    is free, held by us, or the holder never conflicted).  Records the
@@ -191,8 +196,7 @@ let spurious_fail ctx =
   ctx.o_tid <- -1;
   ctx.o_ts <- 0;
   ctx.o_lock <- -1;
-  ctx.preempted <- false;
-  false
+  ctx.preempted <- false
 
 let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
 
@@ -250,45 +254,55 @@ let read_wait t ctx w =
   in
   loop ()
 
-(* The fast half of a read acquisition (Algorithm 2, lines 51-56): arrive
-   by storing [prior lor bit] into the caller's own indicator word, whose
-   current value the caller read as [prior], then re-load the write word
-   (the Dekker check); on contention, wait. *)
-let arrive_read t ctx w ~prior =
-  if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then spurious_fail ctx
-  else begin
-    if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
-    Read_indicator.arrive_from t.ri ~tid:ctx.tid ~prior w;
-    if !Chaos.on then Chaos.point Chaos.Read_lock_check;
-    let ws = Atomic.get t.wlocks.(w) in
-    if ws = 0 || ws = ctx.tid + 1 then begin
-      (if !Obs.Telemetry.on then
-         match t.obs with
-         | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
-         | None -> ());
-      true
-    end
-    else read_wait t ctx w
-  end
-
-let try_or_wait_read_lock t ctx w =
-  arrive_read t ctx w ~prior:(Read_indicator.get_word t.ri ~tid:ctx.tid w)
-
 type read_outcome = Read_held | Read_first | Read_failed
 
-(* "Already held" fused into the acquisition: the load of the caller's own
-   word that arrive needs anyway answers "held for reading", and the write
-   word answers "held for writing", so the uncontended acquisition costs
-   one fence.  Both loads come before the chaos points and touch nothing
-   another thread writes (our own word, and a write word that only we set
-   to our id), so the scheduler's sync points are the arrive/check pair of
-   arrive_read, with or without chaos. *)
+(* The caller's own indicator word holding lock [w]'s bit, indexed here
+   (read_indicator.mli gives the layout and the owner-only-write rule)
+   because a call into Read_indicator is never inlined under dune's
+   default -opaque. *)
+let[@inline] own_word t ctx w =
+  let ri = t.ri in
+  ri.Read_indicator.words.((ctx.tid * ri.words_per_thread) + (w lsr 5))
+
+(* The whole read acquisition (Algorithm 2, lines 51-69) with "already
+   held" fused in.  The first two loads touch nothing another thread
+   writes (our own word; a write word only we set to our id), so the
+   scheduler's sync points are the Read_lock_arrive / Read_lock_check
+   pair around the arrive store, with and without chaos.  A new lock
+   costs one SC store (the fence) and the Dekker re-load of the write
+   word; only the wait loop is out of line.  [prior] is the word before
+   our arrive: a read that makes it non-empty is [Read_first]. *)
 let acquire_read t ctx w =
-  let prior = Read_indicator.get_word t.ri ~tid:ctx.tid w in
-  if prior land Read_indicator.bit w <> 0 || holds_write t ctx w then Read_held
-  else if not (arrive_read t ctx w ~prior) then Read_failed
-  else if prior = 0 then Read_first
-  else Read_held
+  let cell = own_word t ctx w in
+  let bit = 1 lsl (w land 31) in
+  let prior = Atomic.get cell in
+  if prior land bit <> 0 || Atomic.get t.wlocks.(w) = ctx.tid + 1 then
+    Read_held
+  else if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then begin
+    spurious_fail ctx;
+    Read_failed
+  end
+  else begin
+    if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
+    Atomic.set cell (prior lor bit);
+    if !Chaos.on then Chaos.point Chaos.Read_lock_check;
+    let acquired =
+      if Atomic.get t.wlocks.(w) = 0 then begin
+        (if !Obs.Telemetry.on then
+           match t.obs with
+           | Some sc ->
+               Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
+           | None -> ());
+        true
+      end
+      else read_wait t ctx w
+    in
+    if not acquired then Read_failed
+    else if prior = 0 then Read_first
+    else Read_held
+  end
+
+let try_or_wait_read_lock t ctx w = acquire_read t ctx w <> Read_failed
 
 let try_or_wait_write_lock t ctx w =
   let me = ctx.tid + 1 in
@@ -297,8 +311,10 @@ let try_or_wait_write_lock t ctx w =
     (* Spurious-failure injection sits after the re-entrancy check: a
        forced failure on a lock we already hold would leave the caller's
        write set inconsistent with the lock word. *)
-  else if !Chaos.on && Chaos.spurious Chaos.Write_lock_acquire then
-    spurious_fail ctx
+  else if !Chaos.on && Chaos.spurious Chaos.Write_lock_acquire then begin
+    spurious_fail ctx;
+    false
+  end
   else if
     ws = 0
     && Atomic.compare_and_set t.wlocks.(w) 0 me
@@ -381,7 +397,11 @@ let try_or_wait_write_lock t ctx w =
   end
 
 let read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
-let release_read_word t ctx w = Read_indicator.depart_word t.ri ~tid:ctx.tid w
+
+let release_read_word t ctx w =
+  let cell = own_word t ctx w in
+  if Atomic.get cell <> 0 then Atomic.set cell 0
+
 let write_unlock t ctx w =
   ignore ctx;
   Atomic.set t.wlocks.(w) 0

@@ -87,9 +87,12 @@ val lock_index : t -> int -> int
 (** Hash a tvar id onto a lock index ([addr2lockIdx]). *)
 
 val try_or_wait_read_lock : t -> ctx -> int -> bool
-(** Acquire the read side of lock [w] (Algorithm 2, lines 51–69).  [false]
-    means: a lower-timestamp writer owns the lock; the caller must restart
-    ([ctx.o_tid]/[ctx.o_ts] identify whom to wait for before retrying). *)
+(** Acquire the read side of lock [w] (Algorithm 2, lines 51–69):
+    [acquire_read t ctx w <> Read_failed].  [false] means: a
+    lower-timestamp writer owns the lock; the caller must restart
+    ([ctx.o_tid]/[ctx.o_ts] identify whom to wait for before retrying).
+    Under this thread's own write lock it returns [true] and sets no
+    indicator bit. *)
 
 type read_outcome =
   | Read_held
@@ -102,13 +105,14 @@ type read_outcome =
           word is back to its prior value *)
 
 val acquire_read : t -> ctx -> int -> read_outcome
-(** The transactional read acquisition: "already held" fused into
-    {!try_or_wait_read_lock}.  One load of the caller's own indicator word
-    tests the lock's bit, one load of the write word tests "held for
-    writing" (then no bit is set); a new lock is taken through the same
-    arrive, Dekker re-check and wait loop as {!try_or_wait_read_lock}.  A
-    caller that logs [w] on [Read_first] alone holds one entry per
-    non-empty word, and releases them all with {!release_read_word}. *)
+(** The read acquisition, with "already held" fused in, as one function
+    that makes no call on the uncontended path.  One load of the caller's
+    own indicator word tests the lock's bit, one load of the write word
+    tests "held for writing" (then no bit is set); a new lock is one
+    [Atomic.set] of the own word, the Dekker re-load of the write word and,
+    only when a writer holds it, the wait loop.  A caller that logs [w] on
+    [Read_first] alone holds one entry per non-empty word, and releases
+    them all with {!release_read_word}. *)
 
 val try_or_wait_write_lock : t -> ctx -> int -> bool
 (** Acquire the write side of lock [w] (lines 76–106), upgrading a read
@@ -140,7 +144,8 @@ val announce_priority : t -> ctx -> int -> unit
 
 val clear_announcement : t -> ctx -> unit
 (** Commit-time epilogue: forget the timestamp and clear the announcement
-    slot (lines 31–32), releasing any transaction waiting on it. *)
+    slot (lines 31–32), releasing any transaction waiting on it.  No store
+    when [ctx.my_ts = 0]: the slot then already reads 0. *)
 
 val wait_for_conflictor : t -> ctx -> unit
 (** Before re-attempting a restarted transaction, wait until the

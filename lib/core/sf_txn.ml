@@ -51,6 +51,7 @@ let leaked_locks tbl =
 
 type 'log t = {
   locks : Rwl_sf.t;
+  mask : int;
   ctx : Rwl_sf.ctx;
   rwords : int Util.Vec.t;
   wlocks : int Util.Vec.t;
@@ -62,6 +63,7 @@ type 'log t = {
 let make locks ~tid log =
   {
     locks;
+    mask = Rwl_sf.num_locks locks - 1;
     ctx = Rwl_sf.make_ctx ~tid;
     rwords = Util.Vec.create ~dummy:(-1) ();
     wlocks = Util.Vec.create ~dummy:(-1) ();
@@ -71,11 +73,12 @@ let make locks ~tid log =
   }
 
 (* The read set holds one lock index per indicator word a read made
-   non-empty: [release] clears each such word in one store. *)
+   non-empty: [release] clears each such word in one store.  The lock index
+   is [id land mask] ([Rwl_sf.lock_index]) computed here: under -opaque a
+   call into Rwl_sf is never inlined. *)
 let read_lock tx id =
-  let t = tx.locks in
-  let w = Rwl_sf.lock_index t id in
-  match Rwl_sf.acquire_read t tx.ctx w with
+  let w = id land tx.mask in
+  match Rwl_sf.acquire_read tx.locks tx.ctx w with
   | Rwl_sf.Read_held -> ()
   | Rwl_sf.Read_first -> Util.Vec.push tx.rwords w
   | Rwl_sf.Read_failed ->
@@ -86,7 +89,7 @@ let read_lock tx id =
 
 let write_lock tx id =
   let t = tx.locks in
-  let w = Rwl_sf.lock_index t id in
+  let w = id land tx.mask in
   if not (Rwl_sf.holds_write t tx.ctx w) then
     if Rwl_sf.try_or_wait_write_lock t tx.ctx w then Util.Vec.push tx.wlocks w
     else begin
@@ -104,8 +107,12 @@ let begin_attempt tx =
   tx.abort_reason <- Obs.Events.User_restart
 
 let release tx =
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.locks tx.ctx w) tx.wlocks;
-  Util.Vec.iter (fun w -> Rwl_sf.release_read_word tx.locks tx.ctx w) tx.rwords
+  for i = 0 to Util.Vec.length tx.wlocks - 1 do
+    Rwl_sf.write_unlock tx.locks tx.ctx (Util.Vec.get tx.wlocks i)
+  done;
+  for i = 0 to Util.Vec.length tx.rwords - 1 do
+    Rwl_sf.release_read_word tx.locks tx.ctx (Util.Vec.get tx.rwords i)
+  done
 
 let clear_announcement tx = Rwl_sf.clear_announcement tx.locks tx.ctx
 

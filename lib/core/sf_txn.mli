@@ -37,6 +37,9 @@ val leaked_locks : table -> int
 
 type 'log t = {
   locks : Rwl_sf.t;
+  mask : int;
+      (** [Rwl_sf.num_locks locks - 1]: lock index of id [id] is
+          [id land mask], as {!Rwl_sf.lock_index} *)
   ctx : Rwl_sf.ctx;
   rwords : int Util.Vec.t;
       (** the read set: one lock index per indicator word of this thread

@@ -29,15 +29,6 @@ let depart t ~tid w =
   let cur = Atomic.get t.words.(idx) in
   Atomic.set t.words.(idx) (cur land lnot (bit w))
 
-let depart_word t ~tid w =
-  let cell = t.words.(word_index t tid w) in
-  if Atomic.get cell <> 0 then Atomic.set cell 0
-
-let get_word t ~tid w = Atomic.get t.words.(word_index t tid w)
-
-let arrive_from t ~tid ~prior w =
-  Atomic.set t.words.(word_index t tid w) (prior lor bit w)
-
 let holds t ~tid w = Atomic.get t.words.(word_index t tid w) land bit w <> 0
 
 let is_empty t ~self w =

@@ -11,15 +11,32 @@
     reordered with a later [Atomic.get] of another location; the
     Dekker-style check of {!Rwl_sf} relies on exactly that.  (Cost note:
     a sequentially consistent store is an [xchg] on x86-64, so each store
-    costs a full fence.)  The same ownership lets a thread depart from
-    every lock sharing a word in one store ({!depart_word}).
+    costs a full fence.)
 
     Divergence from the paper: the paper packs 64 locks per word; OCaml
     ints are 63-bit so we pack {!bits_per_word} = 32 locks per word.  The
     aggregation property (many read-indicators of one thread share a word,
     so the memory cost stays one bit per thread per lock) is preserved. *)
 
-type t
+type t = private {
+  words_per_thread : int;  (** [num_locks / 32] *)
+  words : int Atomic.t array;
+      (** [Util.Tid.max_threads * words_per_thread] words, thread-major *)
+}
+(** The layout is public so that a lock's hot path can index its own word
+    without a call: thread [tid]'s bit for lock [w] is bit [w land 31]
+    (mask [1 lsl (w land 31)]) of [words.(tid * words_per_thread + w lsr 5)].
+
+    Owner-only writes: only thread [tid] may store into its own words
+    [words.(tid * words_per_thread)] to
+    [words.(tid * words_per_thread + words_per_thread - 1)], and any
+    thread may load any word.  A thread therefore reads its own latest
+    value with one [Atomic.get] and may store [prior lor bit] (arrive) or
+    [0] (depart from every lock sharing the word) with one [Atomic.set],
+    provided it made no store of its own to that word in between.  The
+    record is [private]: it cannot be built outside this module, and
+    nothing but the owner rule above stops a store into another thread's
+    word. *)
 
 val bits_per_word : int
 (** Locks whose indicator bits share one word (32). *)
@@ -34,25 +51,6 @@ val arrive : t -> tid:int -> int -> unit
 
 val depart : t -> tid:int -> int -> unit
 (** Clear the calling thread's bit for lock [w].  Idempotent. *)
-
-val depart_word : t -> tid:int -> int -> unit
-(** Clear all of the calling thread's bits in the word holding lock [w]'s
-    bit: one store departs from every lock sharing that word.  No store
-    when the word is already 0. *)
-
-val bit : int -> int
-(** The mask of lock [w]'s bit within its word. *)
-
-val get_word : t -> tid:int -> int -> int
-(** The current value of thread [tid]'s word holding lock [w]'s bit (one
-    load).  A fused read acquire tests [get_word ... land bit w] for
-    "already held" and passes the value on to {!arrive_from}. *)
-
-val arrive_from : t -> tid:int -> prior:int -> int -> unit
-(** {!arrive} without the load: set thread [tid]'s bit for lock [w] in a
-    word whose current value the caller read as [prior] with {!get_word}.
-    Sound because only thread [tid] writes its words: the caller must be
-    thread [tid], with no store of its own between the two calls. *)
 
 val holds : t -> tid:int -> int -> bool
 (** Is [tid]'s bit for lock [w] set?  (Cheap: one load.) *)

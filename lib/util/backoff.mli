@@ -1,12 +1,20 @@
 (** Waiting-loop pacing.
 
-    The paper's [pause()] is an x86 PAUSE executed while spinning.  This
-    host has a single hardware core, so a spinning domain that never yields
-    would hold the CPU for a full scheduler timeslice (milliseconds) while
-    the lock holder it waits for cannot run.  {!once} therefore escalates:
-    a few [Domain.cpu_relax] hints, then short [nanosleep]s that return the
-    core to the runnable lock holder.  On a multi-core host the relax phase
-    dominates and behaviour approximates the paper's spin-wait. *)
+    The paper's [pause()] is an x86 PAUSE executed while spinning.  Here a
+    waiting domain may share a hardware core with the lock holder it waits
+    for (more domains than cores), and a spinner that never yields would
+    hold that core for a full scheduler timeslice (milliseconds).  {!once}
+    therefore escalates: six [Domain.cpu_relax] hints, then [Unix.sleepf]
+    calls of 1-20 µs that return the core to the runnable lock holder.
+
+    Those sleeps are not short in practice: Linux rounds a sleep up by the
+    thread's timer slack ([/proc/self/timerslack_ns], 50 µs by default),
+    so on a 2-vCPU Linux host with the default slack [Unix.sleepf 1e-6]
+    measured ~58 µs on average.  Every escalated step, {!yield} and
+    {!exponential} with [attempt >= 2] therefore costs at least about
+    50 µs, which sets the tail latency of short conflicting transactions.
+    On a host with idle cores the relax phase dominates and behaviour
+    approximates the paper's spin-wait. *)
 
 type t
 
@@ -21,8 +29,8 @@ val reset : t -> unit
 (** Forget escalation (call after the awaited condition made progress). *)
 
 val yield : unit -> unit
-(** Unconditionally give up the core briefly (used between transaction
-    attempts when waiting for a conflicting transaction to commit). *)
+(** Unconditionally give up the core with a 1 µs [Unix.sleepf], which
+    lasts about one timer slack in practice (see above). *)
 
 val exponential : attempt:int -> unit
 (** Capped exponential backoff used by the no-wait concurrency controls

@@ -468,6 +468,124 @@ let prop_read_set_words =
       && List.for_all (fun w -> not (L.holds_write t tx.ctx w)) (List.init 128 Fun.id)
       && L.leaked t = 0)
 
+(* Sf_txn keeps the lock-index mask beside Rwl_sf: over tables of 32, 1024
+   and 65536 locks, random ids (many >= num_locks, aliasing low locks)
+   must log exactly the words of [L.lock_index t id], hold every lock
+   read, and leave nothing behind after [finish]. *)
+let prop_mask_parity =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 32; 1024; 65536 ] >>= fun n ->
+      let id =
+        frequency
+          [
+            (1, int_range 0 ((4 * n) - 1));
+            (1, map2 (fun k r -> (k * n) + r) (int_range 0 3) (int_range 0 63));
+          ]
+      in
+      map (fun ids -> (n, ids)) (list_size (int_range 1 80) id))
+  in
+  QCheck.Test.make ~name:"Sf_txn mask = Rwl_sf.lock_index" ~count:150
+    (QCheck.make
+       ~print:(fun (n, ids) ->
+         Printf.sprintf "n=%d ids=[%s]" n
+           (String.concat ";" (List.map string_of_int ids)))
+       gen)
+    (fun (n, ids) ->
+      let t = L.create ~num_locks:n () in
+      let tx = S.make t ~tid:0 () in
+      S.begin_attempt tx;
+      List.iter (S.read_lock tx) ids;
+      let logged =
+        List.sort compare
+          (List.map (fun w -> w / 32) (Array.to_list (Util.Vec.to_array tx.rwords)))
+      in
+      let expected =
+        List.sort_uniq compare (List.map (fun id -> L.lock_index t id / 32) ids)
+      in
+      let all_held =
+        List.for_all (fun id -> L.holds_read t tx.ctx (L.lock_index t id)) ids
+      in
+      S.finish tx;
+      logged = expected && all_held && L.leaked t = 0)
+
+(* Chaos forcing every Read_lock_arrive to fail spuriously: a new lock
+   fails with its word untouched and no conflictor to wait for, while a
+   lock already held is still reported held (the held test comes before
+   the injection). *)
+let test_acquire_read_spurious () =
+  let module Chaos = Twoplsf_chaos.Chaos in
+  let t = fresh () in
+  let c = L.make_ctx ~tid:0 in
+  ignore (L.acquire_read t c 4);
+  let prior = own_word t c 0 in
+  c.o_tid <- 3;
+  Chaos.enable ~config:{ Chaos.quiet with Chaos.spurious_ppm = 1_000_000 } ();
+  let fresh_lock, held_lock =
+    Fun.protect ~finally:Chaos.disable (fun () ->
+        (L.acquire_read t c 5, L.acquire_read t c 4))
+  in
+  check Alcotest.bool "new lock fails" true (fresh_lock = L.Read_failed);
+  check Alcotest.bool "held lock still held" true (held_lock = L.Read_held);
+  check Alcotest.int "own word unchanged" prior (own_word t c 0);
+  check Alcotest.int "no conflictor" (-1) c.o_tid;
+  L.release_read_word t c 4;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* Telemetry counts one read-lock-fast event per new lock, none for a
+   re-read of a held lock. *)
+let test_read_lock_fast_count () =
+  let module Obs = Twoplsf_obs in
+  let sc = Obs.Scope.create "test-rwl-sf-read-fast" in
+  let t = fresh () in
+  L.set_obs t sc;
+  let tx = S.make t ~tid:0 () in
+  let fast () = List.assoc "read-lock-fast" (Obs.Scope.event_counts sc) in
+  let k = 40 in
+  let before = fast () in
+  Obs.Telemetry.on := true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Telemetry.on := false)
+    (fun () ->
+      S.begin_attempt tx;
+      for id = 3 to 3 + k - 1 do
+        S.read_lock tx id
+      done;
+      for id = 3 to 3 + k - 1 do
+        S.read_lock tx id
+      done;
+      S.finish tx);
+  check Alcotest.int "one event per new lock" k (fast () - before);
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* The announcement slot reads 0 after every commit: an uncontended one
+   (which skips the store) and one that drew a timestamp on a conflict
+   with an irrevocable (priority 1) writer. *)
+let test_announcement_cleared_at_commit () =
+  let t = fresh () in
+  let tx = S.make t ~tid:1 () in
+  S.begin_attempt tx;
+  S.read_lock tx 5;
+  S.finish tx;
+  check Alcotest.int "conflict-free commit" 0 (L.announced t 1);
+  let holder = L.make_ctx ~tid:0 in
+  ignore (L.try_or_wait_write_lock t holder 5);
+  L.announce_priority t holder 1;
+  S.begin_attempt tx;
+  (match S.read_lock tx 5 with
+  | () -> Alcotest.fail "read under an irrevocable writer"
+  | exception Twoplsf_cm.Txn_loop.Restart -> S.release tx);
+  check Alcotest.bool "timestamp drawn and announced" true
+    (tx.ctx.my_ts > 1 && L.announced t 1 = tx.ctx.my_ts);
+  L.write_unlock t holder 5;
+  L.clear_announcement t holder;
+  S.begin_attempt tx;
+  S.read_lock tx 5;
+  S.finish tx;
+  check Alcotest.int "conflicted commit" 0 (L.announced t 1);
+  check Alcotest.int "my_ts" 0 tx.ctx.my_ts;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
 let () =
   Alcotest.run "rwl_sf"
     [
@@ -523,6 +641,13 @@ let () =
           Alcotest.test_case "reader restart restores its word" `Quick
             test_reader_restart_restores_word;
           QCheck_alcotest.to_alcotest prop_read_set_words;
+          QCheck_alcotest.to_alcotest prop_mask_parity;
+          Alcotest.test_case "spurious arrive fails cleanly" `Quick
+            test_acquire_read_spurious;
+          Alcotest.test_case "read-lock-fast counts new locks" `Quick
+            test_read_lock_fast_count;
+          Alcotest.test_case "announcement cleared at commit" `Quick
+            test_announcement_cleared_at_commit;
         ] );
       ( "stress",
         [
