@@ -221,16 +221,15 @@ let acquire_write (t : table) ctx w =
     loop ()
   end
 
-(* This thread's indicator word holding lock [w]'s bit, indexed directly
-   (layout and owner-only-write rule in read_indicator.mli). *)
-let[@inline] own_word (t : table) ctx w =
-  let ri = t.ri in
-  ri.Rwlock.Read_indicator.words.((ctx.tid * ri.words_per_thread) + (w lsr 5))
+(* Index of this thread's indicator word holding lock [w]'s bit in
+   [t.ri.words] (layout and owner-only-write rule in read_indicator.mli). *)
+let[@inline] own_index (t : table) ctx w =
+  (ctx.tid * t.ri.Rwlock.Read_indicator.words_per_thread) + (w lsr 5)
 
 let read tx (tv : 'a tvar) : 'a =
   let t = tx.t in
   let w = tv.id land t.mask in
-  let prior = Atomic.get (own_word t tx.ctx w) in
+  let prior = t.ri.words.(own_index t tx.ctx w) in
   if
     prior land (1 lsl (w land 31)) <> 0
     || Atomic.get t.wlocks.(w) = tx.ctx.tid + 1
@@ -267,10 +266,13 @@ let release tx =
   Util.Vec.iter
     (fun w -> if Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 then Atomic.set t.wlocks.(w) 0)
     tx.wlocks;
+  (* A plain store releases: it follows every read of the transaction
+     (DESIGN.md §7). *)
+  let words = t.ri.words in
   Util.Vec.iter
     (fun w ->
-      let cell = own_word t tx.ctx w in
-      if Atomic.get cell <> 0 then Atomic.set cell 0)
+      let i = own_index t tx.ctx w in
+      if words.(i) <> 0 then words.(i) <- 0)
     tx.rwords
 
 let rollback tx =

@@ -21,11 +21,56 @@ module Chaos = Twoplsf_chaos.Chaos
 
 let infinity_ts = max_int
 
+(* ---- The read bias (DESIGN.md §7) ----
+
+   A biased reader arrives with a plain store and no fence; every writer
+   that finds the bias on pays a membarrier between its write-word CAS
+   and its indicator scan instead (an asymmetric Dekker pair).  The bias
+   word is [epoch lsl 2 lor state] and every transition moves to the
+   next epoch, so a reader that re-loads the word equal to the value it
+   loaded before its store knows no transition came in between: a
+   revoke then re-enable (off -> on) cannot look like "still on".
+   Transitions: on -> revoking (a writer, by CAS), revoking -> off (the
+   same writer, after its barrier), off -> on (a reader, by CAS).
+
+   The policy's constants:
+   - A writer that finds the bias on and actually issues a barrier
+     revokes it at once, as BRAVO does.  No barrier is issued while one
+     domain runs alone (a single-domain build phase, where an SC store
+     is already plain), so such writes leave the bias on.
+   - [inhibit_factor] 1000: after a revocation that took c ns, no reader
+     re-enables the bias for 1000 c (about 0.2-1 ms).  A re-enable that
+     the next write revokes again costs 2 barriers; the window bounds
+     that flapping to well under 1% of the time.
+   - [reenable_every] 256: an unbiased reader reads the clock to try a
+     re-enable once per 256 fenced reads, so the clock stays off the
+     per-read path. *)
+
+let bias_off = 0
+let bias_on = 1
+let bias_revoking = 2
+let next_bias b state = (((b lsr 2) + 1) lsl 2) lor state
+let inhibit_factor = 1000
+let reenable_every = 256
+
+(* Writer-side bias state, in a block of its own: writers store here, and
+   readers load the table record on every read.  Plain racy ints: a lost
+   update only shifts a heuristic. *)
+type policy = {
+  barrier_ok : bool; (* membarrier registered: the bias may turn on *)
+  mutable inhibit_factor : int; (* [inhibit_factor]; tests shorten it *)
+  mutable inhibit_until_ns : int; (* no re-enable before this *)
+  mutable barriers : int; (* barriers issued by writers and revokers (tests) *)
+  mutable pinned : bool; (* tests: no policy transitions *)
+}
+
 type t = {
   mask : int;
   nlocks : int;
   wlocks : int Atomic.t array;
   ri : Read_indicator.t;
+  bias : int Atomic.t;
+  policy : policy;
   conflict_clock : int Atomic.t;
   announce : int Atomic.t array;
   zero_mutex : bool Atomic.t;
@@ -43,9 +88,10 @@ type ctx = {
   mutable preempted : bool;
   mutable deadline_ns : int;
   mutable deadline_hit : bool;
+  mutable fenced_reads : int;
 }
 
-let create ?(num_locks = 65536) () =
+let create_with ~barrier_ok ~num_locks =
   if num_locks land (num_locks - 1) <> 0 || num_locks < 32 then
     invalid_arg "Rwl_sf.create: num_locks must be a power of two >= 32";
   {
@@ -53,6 +99,15 @@ let create ?(num_locks = 65536) () =
     nlocks = num_locks;
     wlocks = Array.init num_locks (fun _ -> Atomic.make 0);
     ri = Read_indicator.create ~num_locks;
+    bias = Atomic.make (if barrier_ok then bias_on else bias_off);
+    policy =
+      {
+        barrier_ok;
+        inhibit_factor;
+        inhibit_until_ns = 0;
+        barriers = 0;
+        pinned = false;
+      };
     conflict_clock = Atomic.make 2 (* 1 is the irrevocable priority *);
     announce = Array.init Util.Tid.max_threads (fun _ -> Atomic.make 0);
     zero_mutex = Atomic.make false;
@@ -60,6 +115,9 @@ let create ?(num_locks = 65536) () =
     obs = None;
     watch_id = -1;
   }
+
+let create ?(num_locks = 65536) () =
+  create_with ~barrier_ok:Util.Fence.membarrier_ok ~num_locks
 
 let clock_value t = Atomic.get t.conflict_clock
 
@@ -111,6 +169,7 @@ let make_ctx ~tid =
     preempted = false;
     deadline_ns = 0;
     deadline_hit = false;
+    fenced_reads = 0;
   }
 
 (* Overload protection (DESIGN.md §11): a transaction's absolute deadline,
@@ -200,10 +259,86 @@ let spurious_fail ctx =
 
 let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
 
+(* Index of the caller's own indicator word holding lock [w]'s bit in
+   [t.ri.words] (read_indicator.mli gives the layout and the
+   owner-only-write rule), computed here because a call into
+   Read_indicator is never inlined under dune's default -opaque. *)
+let[@inline] own_index t ctx w =
+  (ctx.tid * t.ri.Read_indicator.words_per_thread) + (w lsr 5)
+
+(* ---- the bias protocol (DESIGN.md §7) ---- *)
+
+let bias_transition t ctx e =
+  if !Obs.Telemetry.on then
+    match t.obs with
+    | Some sc -> Obs.Scope.event sc ~tid:ctx.tid e
+    | None -> ()
+
+(* on -> revoking -> off.  The revoker's barrier makes the plain store of
+   every reader whose bias re-load still returned "on" visible before the
+   word reads "off", so a writer that loads "off" may skip its barrier. *)
+let revoke t ctx b =
+  let r = next_bias b bias_revoking in
+  if Atomic.compare_and_set t.bias b r then begin
+    let cost = Util.Fence.membarrier () in
+    let p = t.policy in
+    if cost > 0 then p.barriers <- p.barriers + 1;
+    p.inhibit_until_ns <- Util.Clock.now_ns () + (p.inhibit_factor * cost);
+    Atomic.set t.bias (next_bias r bias_off);
+    bias_transition t ctx Obs.Events.Bias_revoked
+  end
+
+(* A writer, after the CAS that made a write word its own and before its
+   first indicator scan: off, no barrier; revoking, its own barrier (the
+   revoker's may not have finished); on, one barrier, then a revocation
+   if that barrier was issued. *)
+let publish_write t ctx =
+  let b = Atomic.get t.bias in
+  if b land 3 <> bias_off then begin
+    let cost = Util.Fence.membarrier () in
+    if cost > 0 then begin
+      let p = t.policy in
+      p.barriers <- p.barriers + 1;
+      if b land 3 = bias_on && not p.pinned then revoke t ctx b
+    end
+  end
+
+(* Every [reenable_every]-th fenced read tries off -> on, once the
+   inhibit window has passed. *)
+let note_fenced_read t ctx =
+  let n = ctx.fenced_reads + 1 in
+  if n < reenable_every then ctx.fenced_reads <- n
+  else begin
+    ctx.fenced_reads <- 0;
+    let p = t.policy in
+    let b = Atomic.get t.bias in
+    if
+      b land 3 = bias_off && p.barrier_ok && (not p.pinned)
+      && Util.Clock.now_ns () >= p.inhibit_until_ns
+      && Atomic.compare_and_set t.bias b (next_bias b bias_on)
+    then bias_transition t ctx Obs.Events.Bias_enabled
+  end
+
+(* The unbiased arrive: an SC store of the caller's own word. *)
+let arrive_fenced t ctx words i v =
+  Util.Fence.store_sc words i v;
+  note_fenced_read t ctx
+
+(* A biased reader whose bias word changed between its two loads: no
+   barrier need have covered its plain store, so it fences and re-checks
+   the write word. *)
+let recheck_fenced t ctx w =
+  Util.Fence.full ();
+  note_fenced_read t ctx;
+  Atomic.get t.wlocks.(w) = 0
+
 (* The wait half of a read acquisition (Algorithm 2, lines 57-69): the
    caller has arrived on lock [w] and then seen its write word held by
-   another thread. *)
+   another thread.  A biased arrive was a plain store, so the wait
+   starts with a fence: from here on the bit is visible before every
+   re-load of the write word. *)
 let read_wait t ctx w =
+  Util.Fence.full ();
   let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
   take_timestamp t ctx;
   let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
@@ -256,26 +391,23 @@ let read_wait t ctx w =
 
 type read_outcome = Read_held | Read_first | Read_failed
 
-(* The caller's own indicator word holding lock [w]'s bit, indexed here
-   (read_indicator.mli gives the layout and the owner-only-write rule)
-   because a call into Read_indicator is never inlined under dune's
-   default -opaque. *)
-let[@inline] own_word t ctx w =
-  let ri = t.ri in
-  ri.Read_indicator.words.((ctx.tid * ri.words_per_thread) + (w lsr 5))
-
 (* The whole read acquisition (Algorithm 2, lines 51-69) with "already
    held" fused in.  The first two loads touch nothing another thread
    writes (our own word; a write word only we set to our id), so the
    scheduler's sync points are the Read_lock_arrive / Read_lock_check
-   pair around the arrive store, with and without chaos.  A new lock
-   costs one SC store (the fence) and the Dekker re-load of the write
-   word; only the wait loop is out of line.  [prior] is the word before
-   our arrive: a read that makes it non-empty is [Read_first]. *)
+   pair around the arrive store, with and without chaos.  With the bias
+   on, a new lock is a load of the bias word, a plain store of our word,
+   the re-load of the write word and a re-load of the bias word: no
+   fence.  It holds only if the write word is 0 and the bias word is
+   unchanged; otherwise it fences and re-checks.  With the bias off or
+   revoking, the store is SC.  Only the wait loop and the fenced paths
+   are out of line.  [prior] is the word before our arrive: a read that
+   makes it non-empty is [Read_first]. *)
 let acquire_read t ctx w =
-  let cell = own_word t ctx w in
+  let words = t.ri.Read_indicator.words in
+  let i = own_index t ctx w in
   let bit = 1 lsl (w land 31) in
-  let prior = Atomic.get cell in
+  let prior = words.(i) in
   if prior land bit <> 0 || Atomic.get t.wlocks.(w) = ctx.tid + 1 then
     Read_held
   else if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then begin
@@ -284,10 +416,16 @@ let acquire_read t ctx w =
   end
   else begin
     if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
-    Atomic.set cell (prior lor bit);
+    let b = Atomic.get t.bias in
+    let biased = b land 3 = bias_on in
+    if biased then words.(i) <- prior lor bit
+    else arrive_fenced t ctx words i (prior lor bit);
     if !Chaos.on then Chaos.point Chaos.Read_lock_check;
     let acquired =
-      if Atomic.get t.wlocks.(w) = 0 then begin
+      if
+        Atomic.get t.wlocks.(w) = 0
+        && ((not biased) || Atomic.get t.bias = b || recheck_fenced t ctx w)
+      then begin
         (if !Obs.Telemetry.on then
            match t.obs with
            | Some sc ->
@@ -318,7 +456,8 @@ let try_or_wait_write_lock t ctx w =
   else if
     ws = 0
     && Atomic.compare_and_set t.wlocks.(w) 0 me
-    && Read_indicator.is_empty t.ri ~self:ctx.tid w
+    && (publish_write t ctx;
+        Read_indicator.is_empty t.ri ~self:ctx.tid w)
   then begin
     if !Obs.Telemetry.on then begin
       match t.obs with
@@ -352,8 +491,10 @@ let try_or_wait_write_lock t ctx w =
       acquired
     in
     let rec loop () =
-      (if Atomic.get t.wlocks.(w) = 0 then
-         ignore (Atomic.compare_and_set t.wlocks.(w) 0 me));
+      if
+        Atomic.get t.wlocks.(w) = 0
+        && Atomic.compare_and_set t.wlocks.(w) 0 me
+      then publish_write t ctx;
       if
         Atomic.get t.wlocks.(w) = me
         && Read_indicator.is_empty t.ri ~self:ctx.tid w
@@ -398,9 +539,12 @@ let try_or_wait_write_lock t ctx w =
 
 let read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
 
+(* A plain store: it follows every read of the transaction, and OCaml
+   never lets a store overtake an earlier load (DESIGN.md §7). *)
 let release_read_word t ctx w =
-  let cell = own_word t ctx w in
-  if Atomic.get cell <> 0 then Atomic.set cell 0
+  let words = t.ri.Read_indicator.words in
+  let i = own_index t ctx w in
+  if words.(i) <> 0 then words.(i) <- 0
 
 let write_unlock t ctx w =
   ignore ctx;
@@ -456,3 +600,36 @@ let clock_increments t =
 
 let reset_clock_increments t =
   Array.iter (fun c -> Atomic.set c 0) t.clock_count
+
+module Bias = struct
+  type state = Off | On | Revoking
+
+  let word t = Atomic.get t.bias
+
+  let state t =
+    match word t land 3 with 0 -> Off | 1 -> On | _ -> Revoking
+
+  let set t st =
+    if st = On && not t.policy.barrier_ok then false
+    else begin
+      let code =
+        match st with
+        | Off -> bias_off
+        | On -> bias_on
+        | Revoking -> bias_revoking
+      in
+      let rec go () =
+        let b = Atomic.get t.bias in
+        if not (Atomic.compare_and_set t.bias b (next_bias b code)) then go ()
+      in
+      go ();
+      true
+    end
+
+  let pin t pinned = t.policy.pinned <- pinned
+  let set_inhibit_factor t k = t.policy.inhibit_factor <- k
+  let barriers t = t.policy.barriers
+
+  let create_without_membarrier ?(num_locks = 65536) () =
+    create_with ~barrier_ok:false ~num_locks
+end

@@ -13,7 +13,17 @@
     priority, so conflicted (timestamped) transactions never restart
     because of it; they wait for it instead.  (The paper's pseudocode
     leaves this case implicit; see DESIGN.md.)  Timestamp 1 is reserved as
-    the irrevocable priority (§2.8): the conflict clock starts at 2. *)
+    the irrevocable priority (§2.8): the conflict clock starts at 2.
+
+    Read bias (DESIGN.md §7): each table has a bias word.  While it is
+    on, a reader arrives with a plain store and no fence, and every
+    writer issues a [membarrier] ({!Util.Fence.membarrier}) between
+    taking the write word and scanning the indicator.  A writer that
+    finds the bias on and issues a barrier revokes it; an unbiased
+    reader turns it back on after an inhibit window.  Revocations and re-enables are the
+    telemetry events [bias-revoked] and [bias-enabled].  Where
+    [membarrier] cannot be registered the bias never turns on and every
+    read arrives with an SC store. *)
 
 type t
 
@@ -44,6 +54,9 @@ type ctx = {
           [deadline_ns] expired rather than because of a higher-priority
           conflictor.  Valid until the next [try_or_wait_*] call; the STM
           resets it when translating it into a [Deadline] abort. *)
+  mutable fenced_reads : int;
+      (** reads that paid a fence since this thread last tried to turn
+          the table's read bias back on (see {!acquire_read}) *)
 }
 (** Per-transaction conflict state — the paper's thread-locals [tl_myTS],
     [tl_otid], [tl_oTS].  Owned by one thread, embedded in its STM
@@ -106,13 +119,18 @@ type read_outcome =
 
 val acquire_read : t -> ctx -> int -> read_outcome
 (** The read acquisition, with "already held" fused in, as one function
-    that makes no call on the uncontended path.  One load of the caller's
-    own indicator word tests the lock's bit, one load of the write word
-    tests "held for writing" (then no bit is set); a new lock is one
-    [Atomic.set] of the own word, the Dekker re-load of the write word and,
-    only when a writer holds it, the wait loop.  A caller that logs [w] on
-    [Read_first] alone holds one entry per non-empty word, and releases
-    them all with {!release_read_word}. *)
+    that makes no call on the uncontended, biased path.  One load of the
+    caller's own indicator word tests the lock's bit, one load of the
+    write word tests "held for writing" (then no bit is set).  A new lock
+    with the bias on is a load of the bias word, a plain store of the own
+    word, the Dekker re-load of the write word and a re-load of the bias
+    word; it holds fence-free only if the write word is 0 and the bias
+    word is unchanged, and otherwise fences and re-checks.  With the bias
+    off the store is sequentially consistent, and every 256th such read
+    tries to turn the bias back on.  Only when a writer holds the lock
+    does it enter the wait loop.  A caller that logs [w] on [Read_first]
+    alone holds one entry per non-empty word, and releases them all with
+    {!release_read_word}. *)
 
 val try_or_wait_write_lock : t -> ctx -> int -> bool
 (** Acquire the write side of lock [w] (lines 76–106), upgrading a read
@@ -125,7 +143,8 @@ val read_unlock : t -> ctx -> int -> unit
 
 val release_read_word : t -> ctx -> int -> unit
 (** Release every read lock of this thread whose bit shares lock [w]'s
-    indicator word, with one store of 0 (none if the word is already 0). *)
+    indicator word, with one plain store of 0 (none if the word is
+    already 0). *)
 
 val write_unlock : t -> ctx -> int -> unit
 (** Release the write side (store UNLOCKED). *)
@@ -178,3 +197,36 @@ val clock_increments : t -> int
     the paper's §3.3 scalability argument against per-transaction clocks. *)
 
 val reset_clock_increments : t -> unit
+
+(** Test hook into the read bias.  Not for production use: pinning or
+    forcing the state defeats the adaptive policy. *)
+module Bias : sig
+  type state = Off | On | Revoking
+
+  val word : t -> int
+  (** The raw bias word, [epoch lsl 2 lor state] (0 off, 1 on,
+      2 revoking); every transition moves to the next epoch. *)
+
+  val state : t -> state
+
+  val set : t -> state -> bool
+  (** Move to [state] at the next epoch.  [false], with no change, when
+      [On] is asked of a table whose [membarrier] is unavailable. *)
+
+  val pin : t -> bool -> unit
+  (** While pinned, writers never revoke and readers never re-enable;
+      barriers are still issued as the state requires. *)
+
+  val set_inhibit_factor : t -> int -> unit
+  (** After a revocation whose barrier took c ns, readers may re-enable
+      the bias once [k * c] ns have passed (default 1000); [0] lets the
+      next re-enable attempt succeed, so a test can drive many
+      revoke/re-enable cycles. *)
+
+  val barriers : t -> int
+  (** Barriers issued by writers of this table so far, a revoking
+      writer's second barrier included (racy count). *)
+
+  val create_without_membarrier : ?num_locks:int -> unit -> t
+  (** A table that behaves as if [membarrier] registration had failed. *)
+end

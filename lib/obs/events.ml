@@ -70,8 +70,10 @@ type event =
   | Irrevocable_fallback
       (* overload protection escalated an exhausted/late transaction
          through the serial-irrevocable slow path (DESIGN.md §11) *)
+  | Bias_revoked (* a writer turned a table's read bias off (DESIGN.md §7) *)
+  | Bias_enabled (* a reader turned a table's read bias back on *)
 
-let num_events = 8
+let num_events = 10
 
 let event_index = function
   | Read_lock_fast -> 0
@@ -82,6 +84,8 @@ let event_index = function
   | Irrevocable_upgrade -> 5
   | Conflictor_wait -> 6
   | Irrevocable_fallback -> 7
+  | Bias_revoked -> 8
+  | Bias_enabled -> 9
 
 let event_label = function
   | Read_lock_fast -> "read-lock-fast"
@@ -92,6 +96,8 @@ let event_label = function
   | Irrevocable_upgrade -> "irrevocable-upgrade"
   | Conflictor_wait -> "conflictor-wait"
   | Irrevocable_fallback -> "irrevocable-fallback"
+  | Bias_revoked -> "bias-revoked"
+  | Bias_enabled -> "bias-enabled"
 
 let all_events =
   [
@@ -103,4 +109,6 @@ let all_events =
     Irrevocable_upgrade;
     Conflictor_wait;
     Irrevocable_fallback;
+    Bias_revoked;
+    Bias_enabled;
   ]

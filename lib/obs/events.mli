@@ -46,6 +46,13 @@ type event =
   | Irrevocable_fallback
       (** overload protection escalated an exhausted/late transaction
           through the serial-irrevocable slow path (DESIGN.md §11) *)
+  | Bias_revoked
+      (** a writer found a lock table's read bias on, issued a barrier
+          and turned the bias off (DESIGN.md §7); emitted once per
+          transition *)
+  | Bias_enabled
+      (** an unbiased reader turned the read bias back on after the
+          inhibit window; emitted once per transition *)
 
 val num_events : int
 val event_index : event -> int

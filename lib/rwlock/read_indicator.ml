@@ -2,7 +2,7 @@ let bits_per_word = 32
 
 type t = {
   words_per_thread : int;
-  words : int Atomic.t array; (* [tid * words_per_thread + w / 32] *)
+  words : int array; (* [tid * words_per_thread + w / 32] *)
 }
 
 let create ~num_locks =
@@ -11,9 +11,7 @@ let create ~num_locks =
   let words_per_thread = num_locks / bits_per_word in
   {
     words_per_thread;
-    words =
-      Array.init (words_per_thread * Util.Tid.max_threads) (fun _ ->
-          Atomic.make 0);
+    words = Array.make (words_per_thread * Util.Tid.max_threads) 0;
   }
 
 let word_index t tid w = (tid * t.words_per_thread) + (w lsr 5)
@@ -21,15 +19,13 @@ let bit w = 1 lsl (w land 31)
 
 let arrive t ~tid w =
   let idx = word_index t tid w in
-  let cur = Atomic.get t.words.(idx) in
-  Atomic.set t.words.(idx) (cur lor bit w)
+  Util.Fence.store_sc t.words idx (t.words.(idx) lor bit w)
 
 let depart t ~tid w =
   let idx = word_index t tid w in
-  let cur = Atomic.get t.words.(idx) in
-  Atomic.set t.words.(idx) (cur land lnot (bit w))
+  t.words.(idx) <- t.words.(idx) land lnot (bit w)
 
-let holds t ~tid w = Atomic.get t.words.(word_index t tid w) land bit w <> 0
+let holds t ~tid w = t.words.(word_index t tid w) land bit w <> 0
 
 let is_empty t ~self w =
   let hwm = Util.Tid.high_water () in

@@ -586,6 +586,297 @@ let test_announcement_cleared_at_commit () =
   check Alcotest.int "my_ts" 0 tx.ctx.my_ts;
   check Alcotest.int "nothing leaked" 0 (L.leaked t)
 
+(* ---- the read bias (DESIGN.md §7) ---- *)
+
+module Chaos = Twoplsf_chaos.Chaos
+module Obs = Twoplsf_obs
+
+let () =
+  Printf.printf "membarrier: %s\n%!"
+    (if Util.Fence.membarrier_ok then "registered (biased reads are fence-free)"
+     else "unavailable (fallback: every read arrives with an SC store)")
+
+let bias_state =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with L.Bias.Off -> "off" | On -> "on" | Revoking -> "revoking"))
+    ( = )
+
+(* Barriers are skipped while one domain runs alone, so the policy tests
+   keep a second, sleeping domain alive. *)
+let with_second_domain f =
+  let stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Unix.sleepf 0.001
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join d)
+    f
+
+(* Read [n] fresh locks one at a time, releasing each word. *)
+let read_fresh t c n =
+  for k = 0 to n - 1 do
+    let w = k land 63 in
+    ignore (L.acquire_read t c w);
+    L.release_read_word t c w
+  done
+
+(* Without membarrier the bias starts off, cannot be forced on, and no
+   amount of reading re-enables it: every read takes the SC path. *)
+let test_bias_fallback () =
+  let t = L.Bias.create_without_membarrier ~num_locks:64 () in
+  let c = L.make_ctx ~tid:0 in
+  check bias_state "starts off" L.Bias.Off (L.Bias.state t);
+  check Alcotest.bool "cannot force on" false (L.Bias.set t L.Bias.On);
+  with_second_domain (fun () ->
+      read_fresh t c 600;
+      Unix.sleepf 0.01;
+      read_fresh t c 600;
+      check Alcotest.bool "write lock" true (L.try_or_wait_write_lock t c 9);
+      L.write_unlock t c 9);
+  check bias_state "still off" L.Bias.Off (L.Bias.state t);
+  check Alcotest.int "no barrier issued" 0 (L.Bias.barriers t);
+  check Alcotest.int "nothing leaked" 0 (L.leaked t);
+  if not Util.Fence.membarrier_ok then
+    check bias_state "every table falls back" L.Bias.Off
+      (L.Bias.state (fresh ()))
+
+(* on --(the first write that issues a barrier)--> revoking --> off
+   --(256 fenced reads after the inhibit window)--> on, one epoch per
+   transition, one telemetry event per revocation and re-enable; then a
+   writer that finds the bias revoking issues its own barrier and
+   changes nothing. *)
+let test_bias_state_machine () =
+  if not Util.Fence.membarrier_ok then
+    check bias_state "fallback: off" L.Bias.Off (L.Bias.state (fresh ()))
+  else begin
+    let t = fresh () in
+    let c = L.make_ctx ~tid:0 in
+    check Alcotest.int "on at epoch 0" 1 (L.Bias.word t);
+    ignore (L.try_or_wait_write_lock t c 5);
+    L.write_unlock t c 5;
+    check Alcotest.int "one domain alone: no barrier" 0 (L.Bias.barriers t);
+    let sc = Obs.Scope.create "test-rwl-sf-bias" in
+    L.set_obs t sc;
+    let count label = List.assoc label (Obs.Scope.event_counts sc) in
+    Obs.Telemetry.on := true;
+    Fun.protect
+      ~finally:(fun () -> Obs.Telemetry.on := false)
+      (fun () ->
+        with_second_domain (fun () ->
+            ignore (L.try_or_wait_write_lock t c 5);
+            L.write_unlock t c 5;
+            check bias_state "first barrier revokes" L.Bias.Off (L.Bias.state t);
+            check Alcotest.int "on -> revoking -> off: epoch 2" 8 (L.Bias.word t);
+            check Alcotest.int "one revocation event" 1 (count "bias-revoked");
+            check Alcotest.int "the writer's barrier and the revoker's" 2
+              (L.Bias.barriers t);
+            ignore (L.try_or_wait_write_lock t c 5);
+            L.write_unlock t c 5;
+            check Alcotest.int "off: no barrier" 2 (L.Bias.barriers t);
+            let deadline = Unix.gettimeofday () +. 5. in
+            while L.Bias.state t = L.Bias.Off && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.005;
+              read_fresh t c 256
+            done;
+            check bias_state "fenced reads re-enable" L.Bias.On (L.Bias.state t);
+            check Alcotest.int "off -> on: epoch 3" 13 (L.Bias.word t);
+            check Alcotest.int "one re-enable event" 1 (count "bias-enabled");
+            check Alcotest.bool "force revoking" true (L.Bias.set t L.Bias.Revoking);
+            let word = L.Bias.word t and barriers = L.Bias.barriers t in
+            check Alcotest.bool "write under revoking" true
+              (L.try_or_wait_write_lock t c 7);
+            L.write_unlock t c 7;
+            check Alcotest.int "its own barrier" (barriers + 1) (L.Bias.barriers t);
+            check Alcotest.int "no transition by the writer" word (L.Bias.word t);
+            let f = c.fenced_reads in
+            check Alcotest.bool "read under revoking" true
+              (L.acquire_read t c 8 = L.Read_first);
+            L.release_read_word t c 8;
+            check Alcotest.int "takes the SC path" (f + 1) c.fenced_reads;
+            check
+              Alcotest.(pair int int)
+              "no further transition" (1, 1)
+              (count "bias-revoked", count "bias-enabled")));
+    check Alcotest.int "nothing leaked" 0 (L.leaked t)
+  end
+
+(* Epoch ABA: a reader that loaded "on" before a revoke and a re-enable
+   sees "on" again after its store, but a writer in between may have
+   loaded "off" and skipped its barrier.  The epoch makes the words
+   differ, so the reader must take the fenced path.  The scheduler hook
+   at Read_lock_check runs between the reader's store and its re-loads. *)
+let test_bias_epoch_aba () =
+  if not Util.Fence.membarrier_ok then
+    check bias_state "fallback: off" L.Bias.Off (L.Bias.state (fresh ()))
+  else begin
+    let t = fresh () in
+    let c = L.make_ctx ~tid:0 in
+    L.Bias.pin t true;
+    let flip = ref false in
+    let read w =
+      let f = c.fenced_reads in
+      Chaos.hook :=
+        Some
+          (fun site ->
+            if !flip && site = Chaos.Read_lock_check then
+              List.iter
+                (fun st -> ignore (L.Bias.set t st))
+                [ L.Bias.Revoking; L.Bias.Off; L.Bias.On ]);
+      Chaos.enable ~config:Chaos.quiet ();
+      let r =
+        Fun.protect
+          ~finally:(fun () ->
+            Chaos.disable ();
+            Chaos.hook := None)
+          (fun () -> L.acquire_read t c w)
+      in
+      (r, c.fenced_reads - f)
+    in
+    let r, fenced = read 3 in
+    check Alcotest.bool "control: acquired" true (r = L.Read_first);
+    check Alcotest.int "control: fence-free" 0 fenced;
+    flip := true;
+    let word = L.Bias.word t in
+    let r, fenced = read 40 in
+    check bias_state "on again" L.Bias.On (L.Bias.state t);
+    check Alcotest.int "three epochs later" (word + 12) (L.Bias.word t);
+    check Alcotest.bool "acquired" true (r = L.Read_first);
+    check Alcotest.int "took the fenced path" 1 fenced;
+    L.release_read_word t c 3;
+    L.release_read_word t c 40;
+    check Alcotest.int "nothing leaked" 0 (L.leaked t)
+  end
+
+(* Store-buffer litmus: a reader and a writer domain meet at a two-party
+   barrier, then race for one lock, once per round.  Each side, once it
+   holds the lock, raises its flag with an SC store and loads the other's
+   flag, so any overlap of a read and a write hold is seen by at least
+   one side.  After the barrier each side spins a few iterations drawn
+   from a fixed seed, so the rounds sweep the reader's store-then-load
+   window across the writer's CAS-then-scan.  The writer holds priority
+   1, so a reader that meets it restarts at once instead of sleeping in
+   the wait loop. *)
+let litmus_rounds = 1_000_000
+
+(* Wait until the other side has reached round [r].  A partner that is
+   descheduled gets the core back through the sleep. *)
+let await cell r =
+  let spins = ref 0 in
+  while Atomic.get cell < r do
+    incr spins;
+    if !spins land 4095 = 0 then Unix.sleepf 1e-5 else Domain.cpu_relax ()
+  done
+
+let skew n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity n)
+  done
+
+(* Runs the rounds on lock 17 of [t]; with [churn], a third domain writes
+   lock 18 of the same table in bursts of 16 until both racers are done,
+   so revocations by another writer land during the race.  Returns the
+   number of rounds in which both sides held the lock, and how many
+   rounds each side held it. *)
+let litmus_race ?(churn = false) t =
+  let w = 17 in
+  let r_in = Atomic.make false and w_in = Atomic.make false in
+  let at = [| Atomic.make 0; Atomic.make 0 |] in
+  let finished = Atomic.make 0 in
+  let violations = Atomic.make 0 in
+  let counts =
+    Harness.Exec.run_each
+      ~threads:(if churn then 3 else 2)
+      (fun i ->
+        let c = L.make_ctx ~tid:(Util.Tid.get ()) in
+        let held = ref 0 in
+        if i = 2 then
+          while Atomic.get finished < 2 do
+            for _ = 1 to 16 do
+              if L.try_or_wait_write_lock t c (w + 1) then
+                L.write_unlock t c (w + 1);
+              L.clear_announcement t c
+            done;
+            incr held;
+            Unix.sleepf 1e-4
+          done
+        else begin
+          let rng = Util.Sprng.create (0x5B11 + i) in
+          let mine = at.(i) and theirs = at.(1 - i) in
+          for r = 1 to litmus_rounds do
+            Atomic.set mine r;
+            await theirs r;
+            skew (Util.Sprng.int rng 64);
+            if i = 0 then begin
+              L.announce_priority t c 1;
+              if L.try_or_wait_write_lock t c w then begin
+                Atomic.set w_in true;
+                if Atomic.get r_in then Atomic.incr violations;
+                Atomic.set w_in false;
+                L.write_unlock t c w;
+                incr held
+              end
+            end
+            else if L.acquire_read t c w <> L.Read_failed then begin
+              Atomic.set r_in true;
+              if Atomic.get w_in then Atomic.incr violations;
+              Atomic.set r_in false;
+              L.release_read_word t c w;
+              incr held
+            end;
+            L.clear_announcement t c
+          done;
+          Atomic.incr finished
+        end;
+        !held)
+  in
+  (Atomic.get violations, counts)
+
+(* The bias pinned on (plain reader stores, writer membarrier) or pinned
+   off (SC stores) for the whole race. *)
+let litmus_pinned bias () =
+  let t = fresh () in
+  if not (L.Bias.set t bias) then
+    check bias_state "fallback: on unavailable" L.Bias.Off (L.Bias.state t)
+  else begin
+    L.Bias.pin t true;
+    let violations, counts = litmus_race t in
+    check Alcotest.int "never both holding" 0 violations;
+    check Alcotest.bool "both sides held the lock" true
+      (List.for_all (fun n -> n > 0) counts);
+    check bias_state "bias unchanged" bias (L.Bias.state t);
+    check Alcotest.int "nothing leaked" 0 (L.leaked t)
+  end
+
+(* The bias left to the policy, with no inhibit window: the litmus
+   writer revokes at its first write, the reader re-enables after 256
+   fenced reads, and the churn domain's revocations make the litmus
+   writer meet "revoking" and "off" after a revocation it did not make.
+   The transitions run in a fixed cycle (on -> revoking -> off -> on),
+   so the epoch count gives the number of revocations and re-enables. *)
+let litmus_adaptive () =
+  let t = fresh () in
+  if L.Bias.state t <> L.Bias.On then
+    check bias_state "fallback: off" L.Bias.Off (L.Bias.state t)
+  else begin
+    L.Bias.set_inhibit_factor t 0;
+    let e0 = L.Bias.word t lsr 2 in
+    let violations, counts = litmus_race ~churn:true t in
+    let e = (L.Bias.word t lsr 2) - e0 in
+    Printf.printf "%d revocations, %d re-enables\n%!" ((e + 1) / 3) (e / 3);
+    check Alcotest.int "never both holding" 0 violations;
+    check Alcotest.bool "both sides held the lock" true
+      (List.for_all (fun n -> n > 0) counts);
+    check Alcotest.bool "revoked and re-enabled" true (e >= 3);
+    check Alcotest.int "nothing leaked" 0 (L.leaked t)
+  end
+
 let () =
   Alcotest.run "rwl_sf"
     [
@@ -653,5 +944,23 @@ let () =
         [
           Alcotest.test_case "mutual exclusion under churn" `Quick
             test_mutual_exclusion_stress;
+        ] );
+      ( "bias",
+        [
+          Alcotest.test_case "fallback without membarrier" `Quick
+            test_bias_fallback;
+          Alcotest.test_case "revoke, re-enable, revoking writer" `Quick
+            test_bias_state_machine;
+          Alcotest.test_case "epoch ABA takes the fenced path" `Quick
+            test_bias_epoch_aba;
+        ] );
+      ( "litmus",
+        [
+          Alcotest.test_case "store buffer, bias on" `Slow
+            (litmus_pinned L.Bias.On);
+          Alcotest.test_case "store buffer, bias off" `Slow
+            (litmus_pinned L.Bias.Off);
+          Alcotest.test_case "store buffer, bias revoked and re-enabled" `Slow
+            litmus_adaptive;
         ] );
     ]
